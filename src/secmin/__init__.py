@@ -3,7 +3,6 @@ degrees, small-lattice successive minima, and explicit arithmetic-surface
 bound evaluators."""
 
 from .arith import (
-    DigitExpansion,
     PrimePowerSieve,
     Rational,
     binomial,

@@ -1,4 +1,4 @@
-"""Exact integer substrate: binomial coefficients, base-p digits, carry-count
+"""Exact integer substrate: binomial coefficients, base-p digit tests, carry-count
 p-adic valuations, and a combined prime / largest-prime-power sieve.
 
 All operations are pure; a sieve is immutable once built and safe to share
@@ -8,7 +8,6 @@ across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError, ResourceLimitError
@@ -48,43 +47,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
-    """Base-p expansion of a nonnegative integer, least significant digit first.
-
-    Zero is the empty tuple; otherwise the leading (last) digit is nonzero.
-    """
-
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.base):
-            raise ParameterError(f"digit base must be prime, got {self.base}")
-        if any(d < 0 or d >= self.base for d in self.digits):
-            raise ParameterError("digits must lie in [0, base)")
-        if self.digits and self.digits[-1] == 0:
-            raise ParameterError("leading digit of a nonzero integer must be nonzero")
-
-    @classmethod
-    def from_int(cls, n: int, base: int) -> "DigitExpansion":
-        if n < 0:
-            raise ParameterError(f"cannot expand a negative integer, got {n}")
-        if not is_prime(base):
-            raise ParameterError(f"digit base must be prime, got {base}")
-        digits = []
-        while n:
-            n, d = divmod(n, base)
-            digits.append(d)
-        return cls(base, tuple(digits))
-
-    def value(self) -> int:
-        total = 0
-        for d in reversed(self.digits):
-            total = total * self.base + d
-        return total
-
-
 def kummer_valuation(n: int, m: int, p: int) -> int:
     """v_p(C(n, m)) as the number of carries when adding m and n-m in base p.
 
@@ -118,6 +80,25 @@ def divides_binomial(n: int, m: int, p: int) -> bool:
         a //= p
         b //= p
     return False
+
+
+def largest_undivided(n: int, cap: int, p: int) -> int:
+    """Largest m <= cap such that p does not divide C(n, m); needs 0 <= cap <= n.
+
+    Unchecked digit kernel: p must be prime, callers validate.  By Lucas, p is
+    prime to C(n, m) exactly when every base-p digit of m is at most the matching
+    digit of n.  Find the highest position where cap's digit exceeds n's; the
+    answer keeps cap's digits above it and takes n's digits from it down.  With
+    no such position, cap itself qualifies.
+    """
+    a, c, pk, q = n, cap, 1, 1
+    while c:
+        pk *= p
+        if c % p > a % p:
+            q = pk
+        a //= p
+        c //= p
+    return cap - cap % q + n % q
 
 
 class PrimePowerSieve:
@@ -154,15 +135,20 @@ class PrimePowerSieve:
         self._check(n)
         return n - self._lpp[n]
 
+    def largest_prime_powers(self) -> list[int]:
+        """The whole table, entry n being largest_prime_power(n), for bulk scans.
+
+        Returned without copying, so callers must not modify it.
+        """
+        return self._lpp
+
     def primes(self) -> list[int]:
         t = self._is_prime
         return [i for i in range(2, self.limit + 1) if t[i]]
 
 
-def build_sieve(limit: int) -> PrimePowerSieve:
-    """Build a PrimePowerSieve covering [1, limit]; limit >= 2."""
-    if limit < 2:
-        raise ParameterError(f"sieve limit must be >= 2, got {limit}")
+def prime_table(limit: int) -> bytearray:
+    """Sieve of Eratosthenes over [0, limit], limit >= 1: entry i is 1 iff i is prime."""
     try:
         table = bytearray([1]) * (limit + 1)
         table[0] = table[1] = 0
@@ -170,6 +156,17 @@ def build_sieve(limit: int) -> PrimePowerSieve:
             if table[p]:
                 start = p * p
                 table[start :: p] = bytearray(len(range(start, limit + 1, p)))
+    except MemoryError as exc:
+        raise ResourceLimitError(f"sieve limit {limit} exhausted memory") from exc
+    return table
+
+
+def build_sieve(limit: int) -> PrimePowerSieve:
+    """Build a PrimePowerSieve covering [1, limit]; limit >= 2."""
+    if limit < 2:
+        raise ParameterError(f"sieve limit must be >= 2, got {limit}")
+    table = prime_table(limit)
+    try:
         # largest prime power <= n: mark every prime power, then prefix-max
         lpp = [0] * (limit + 1)
         for p in range(2, limit + 1):

@@ -6,6 +6,11 @@ prime-power gap: n minus the largest prime power <= n.  The identity, the
 quarter bound gap(n) <= n/4 (n >= 30), and the per-prime band identity are
 verified over ranges here; partial-sum growth is reported, never asserted.
 
+The band is computed from base-p digits, never from a binomial: by Kummer's
+theorem a prime p divides the whole band of width b exactly when
+prime_band(n, p) <= b, so min_band(n) is the least prime band over p <= n.
+band_gcd keeps the exact bignum GCD scan as the oracle the tests hold it to.
+
 Range verifications are deterministic and embarrassingly parallel over n; the
 implementations are serial.
 """
@@ -14,8 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
-from .arith import DigitExpansion, PrimePowerSieve, build_sieve, is_prime
+from .arith import PrimePowerSieve, build_sieve, is_prime, largest_undivided, prime_table
 from .errors import ParameterError, VerificationError
 
 
@@ -80,37 +86,38 @@ def band_gcd(n: int, b: int) -> BandGcd:
     """Exact GCD of the binomials C(n, m) over the open band b < m < n - b.
 
     Scans only up to the middle (the band is symmetric) and stops early once
-    the running GCD reaches 1.  An empty band yields gcd 0.
+    the running GCD reaches 1.  An empty band yields gcd 0.  This bignum scan
+    is the exact oracle for min_band.
     """
     if n < 2:
         raise ParameterError(f"band_gcd needs n >= 2, got {n}")
     if b < 0:
         raise ParameterError(f"band start must be >= 0, got {b}")
-    lo, hi = b + 1, n - b - 1
-    if lo > hi:
+    if b + 1 > n - b - 1:  # empty band
         return BandGcd(n, b, n - b, 0)
-    g = 0
-    c = math.comb(n, lo)
-    gcd = math.gcd
-    for m in range(lo, n // 2 + 1):
-        g = gcd(g, c)
-        if g == 1:
-            break
-        c = c * (n - m) // (m + 1)
-    return BandGcd(n, b, n - b, g)
+    return BandGcd(n, b, n - b, coprimality_band(n, b + 1, n // 2))
 
 
 def min_band(n: int) -> int:
-    """Smallest b >= 0 whose band of binomials has a common divisor, by ascending scan.
+    """Smallest b >= 0 whose band of binomials has a common divisor > 1, from digits.
 
-    An empty band satisfies the condition vacuously, so the scan is total; for
-    every n checked the answer appears strictly before the band empties.
+    A prime p divides every C(n, m) with b < m < n - b exactly when
+    prime_band(n, p) <= b (Kummer), so this is the least prime band over primes
+    p <= n and no binomial is formed; band_gcd is the exact oracle.  Primes are
+    taken from the top, so a prime row stops at its first prime.  The band at
+    b = n//2 is empty, hence satisfied vacuously, which bounds the answer.
     """
-    b = 0
-    while True:
-        if band_gcd(n, b).gcd != 1:
-            return b
-        b += 1
+    if n < 2:
+        raise ParameterError(f"min_band needs n >= 2, got {n}")
+    cap = n // 2
+    best = cap
+    for p in compress(range(n, 1, -1), reversed(prime_table(n))):
+        b = largest_undivided(n, cap, p)
+        if b < best:
+            if b == 0:
+                return 0
+            best = b
+    return best
 
 
 def prime_power_gap(n: int, sieve: PrimePowerSieve) -> BandGapRecord:
@@ -125,8 +132,7 @@ def prime_band(n: int, p: int) -> int:
     """Largest b <= n/2 such that p does not divide C(n, b).
 
     Digit-only computation: C(n, b) is prime to p exactly when every base-p
-    digit of b is at most the matching digit of n, so this maximizes a
-    digit-dominated integer under the cap n//2.
+    digit of b is at most the matching digit of n (arith.largest_undivided).
     """
     if n < 2:
         raise ParameterError(f"prime_band needs n >= 2, got {n}")
@@ -134,27 +140,7 @@ def prime_band(n: int, p: int) -> int:
         raise ParameterError(f"p must be prime, got {p}")
     if p > n:
         raise ParameterError(f"prime_band needs p <= n, got p={p}, n={n}")
-    nd = DigitExpansion.from_int(n, p).digits
-    cap = n // 2
-    cd = list(DigitExpansion.from_int(cap, p).digits)
-    cd += [0] * (len(nd) - len(cd))
-    best = -1
-    for t in range(len(nd) - 1, -1, -1):
-        # branch below the cap at digit t, cap's digits above, n's digits below
-        x = min(cd[t] - 1, nd[t])
-        if x >= 0:
-            val = x * p**t
-            for j in range(t + 1, len(nd)):
-                val += cd[j] * p**j
-            for j in range(t):
-                val += nd[j] * p**j
-            if val > best:
-                best = val
-        if cd[t] > nd[t]:
-            break  # the tight prefix cannot extend past this digit
-    else:
-        best = max(best, cap)  # the cap itself is digit-dominated
-    return best
+    return largest_undivided(n, n // 2, p)
 
 
 def verify_band_gap_identity(range_hi: int, sieve: PrimePowerSieve | None = None) -> list[BandGapRecord]:
@@ -184,7 +170,7 @@ def verify_quarter_bound(range_hi: int, sieve: PrimePowerSieve) -> bool:
         raise ParameterError(f"quarter bound check needs range_hi >= 30, got {range_hi}")
     if sieve.limit < range_hi:
         raise ParameterError(f"sieve limit {sieve.limit} below range_hi {range_hi}")
-    lpp = sieve._lpp  # bulk scan; method-call overhead matters at 10^6
+    lpp = sieve.largest_prime_powers()  # bulk scan; method-call overhead matters at 10^6
     for n in range(30, range_hi + 1):
         if 4 * (n - lpp[n]) > n:
             return False
@@ -200,7 +186,7 @@ def asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve | N
     total = 0
     max_ratio = -1.0
     argmax = 2
-    lpp = sieve._lpp
+    lpp = sieve.largest_prime_powers()
     for n in range(2, range_hi + 1):
         c = n - lpp[n]
         total += c

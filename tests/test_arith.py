@@ -1,4 +1,4 @@
-"""Substrate tests: binomials, digit expansions, valuations, sieve tables."""
+"""Substrate tests: binomials, digit kernels, valuations, sieve tables."""
 
 import math
 from fractions import Fraction
@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from secmin.arith import (
-    DigitExpansion,
     binomial,
     build_sieve,
     divides_binomial,
     is_prime,
     kummer_valuation,
+    largest_undivided,
+    prime_table,
 )
 from secmin.errors import ParameterError, ResourceLimitError
 
@@ -115,32 +116,33 @@ class TestDividesBinomial:
                     assert divides_binomial(n, m, p) == (kummer_valuation(n, m, p) > 0)
 
 
-class TestDigitExpansion:
+class TestLargestUndivided:
     def test_round_trip(self):
+        # n's own digits rebuild n; any cap lands on the largest m <= cap
+        # whose digits n dominates
         for n in [0, 1, 7, 100, 3**8, 12345]:
             for p in (2, 3, 5, 13):
-                e = DigitExpansion.from_int(n, p)
-                assert e.value() == n
-                if n:
-                    assert e.digits[-1] != 0
+                assert largest_undivided(n, n, p) == n
+                for cap in range(0, n + 1, max(1, n // 40)):
+                    m = largest_undivided(n, cap, p)
+                    assert 0 <= m <= cap and not divides_binomial(n, m, p)
+                    assert all(divides_binomial(n, k, p) for k in range(m + 1, cap + 1))
 
-    @given(st.integers(min_value=0, max_value=10**9), st.sampled_from(SMALL_PRIMES))
-    def test_round_trip_random(self, n, p):
-        assert DigitExpansion.from_int(n, p).value() == n
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            DigitExpansion.from_int(5, 4)
-        with pytest.raises(ParameterError):
-            DigitExpansion(3, (0, 3))
-        with pytest.raises(ParameterError):
-            DigitExpansion(3, (1, 0))
+    @given(st.integers(min_value=0, max_value=10**9), st.sampled_from(SMALL_PRIMES), st.data())
+    def test_round_trip_random(self, n, p, data):
+        assert largest_undivided(n, n, p) == n
+        cap = data.draw(st.integers(min_value=0, max_value=n))
+        m = largest_undivided(n, cap, p)
+        assert m <= cap and not divides_binomial(n, m, p)
+        assert largest_undivided(n, m, p) == m
 
 
 class TestSieve:
     def test_small_table(self):
         s = build_sieve(10)
         assert [s.largest_prime_power(n) for n in range(2, 11)] == [2, 3, 4, 5, 5, 7, 8, 9, 9]
+        assert s.largest_prime_powers()[2:] == [2, 3, 4, 5, 5, 7, 8, 9, 9]
+        assert s.largest_prime_powers() is s.largest_prime_powers()  # no copy per call
 
     def test_limit_two(self):
         s = build_sieve(2)
@@ -148,8 +150,10 @@ class TestSieve:
 
     def test_primality_agrees_with_trial_division(self):
         s = build_sieve(2000)
+        table = prime_table(2000)
         for n in range(2, 2001):
-            assert s.is_prime(n) == is_prime(n)
+            assert s.is_prime(n) == is_prime(n) == bool(table[n])
+        assert prime_table(1) == bytearray(2)
 
     def test_prime_power_structure(self):
         s = build_sieve(500)
@@ -185,6 +189,8 @@ class TestSieve:
     def test_memory_exhaustion_is_distinct_error(self):
         with pytest.raises(ResourceLimitError):
             build_sieve(2**62)
+        with pytest.raises(ResourceLimitError):
+            prime_table(2**62)
 
     def test_range_checks(self):
         s = build_sieve(50)

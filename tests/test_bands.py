@@ -1,9 +1,11 @@
-"""Band-function tests: brute-force GCD oracles, per-prime identities, reports."""
+"""Band-function tests: the digit route against brute-force GCD oracles, per-prime
+identities, reports."""
 
 import math
 
 import pytest
 
+from secmin import arith, bands
 from secmin.arith import build_sieve, divides_binomial, is_prime
 from secmin.bands import (
     asymptotic_report,
@@ -75,11 +77,30 @@ class TestMinBand:
         assert min_band(10) == 1
 
     def test_minimality(self):
-        for n in range(2, 200):
+        # the exact bignum scan is the oracle over the acceptance range
+        for n in range(2, 3001):
             b = min_band(n)
             assert band_gcd(n, b).gcd > 1
             if b >= 1:
                 assert band_gcd(n, b - 1).gcd == 1
+
+    def test_large_rows_match_sieve_gaps(self):
+        sieve = build_sieve(10**6)
+        for n in (10030, 50894, 199999, 200000, 10**6):
+            assert min_band(n) == sieve.gap(n), n
+        assert sieve.gap(10**6) == 17
+
+    def test_forms_no_binomial(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("min_band took the bignum route")
+
+        monkeypatch.setattr(math, "comb", forbidden)
+        monkeypatch.setattr(math, "gcd", forbidden)
+        assert min_band(50894) == 1
+
+    def test_rejects_small_row(self):
+        with pytest.raises(ParameterError):
+            min_band(1)
 
     def test_equals_min_of_prime_bands(self):
         sieve = build_sieve(500)
@@ -151,8 +172,23 @@ class TestPrimeBand:
     def test_rejects(self):
         with pytest.raises(ParameterError):
             prime_band(10, 11)
+        for base in (4, 9, 1, 0, -3):
+            with pytest.raises(ParameterError):
+                prime_band(10, base)
         with pytest.raises(ParameterError):
-            prime_band(10, 4)
+            prime_band(1, 2)
+
+    def test_validates_once(self, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return is_prime(p)
+
+        monkeypatch.setattr(arith, "is_prime", counting)
+        monkeypatch.setattr(bands, "is_prime", counting)
+        assert prime_band(50, 7) == 1
+        assert calls == [7]
 
 
 class TestVerifiers:

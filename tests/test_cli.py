@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from secmin import bands, cli
 from secmin.errors import VerificationError
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parents[1] / "src"
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -201,3 +205,25 @@ class TestContract:
         checks = [ln for ln in lines if ln.startswith("check=")]
         assert len(checks) == 11
         assert all(" status=pass " in ln for ln in checks)
+
+
+@pytest.mark.parametrize("module", ["secmin", "secmin.cli"])
+class TestModuleEntryPoints:
+    """`python -m` runs the same command line as the installed script."""
+
+    def run_module(self, module, *argv) -> subprocess.CompletedProcess:
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    def test_bands_single(self, module):
+        proc = self.run_module(module, "bands", "single", "--n", "10")
+        assert proc.returncode == 0
+        assert parse_kv(proc.stdout.splitlines()[0])["band"] == "1"
+
+    def test_missing_gram_exits_2(self, module):
+        proc = self.run_module(module, "lattice", "minima", "--gram", str(DATA / "missing.gram"))
+        assert proc.returncode == 2
+        assert proc.stdout.splitlines() == ["status=fail"]

@@ -137,6 +137,19 @@ class TestLargestUndivided:
         assert largest_undivided(n, m, p) == m
 
 
+class TestDigitExpansion:
+    def test_validation(self):
+        # the checked base-p digit comparison rejects a composite base and an
+        # m whose digits cannot sit under n's
+        for base in (4, 9, 1, 0):
+            with pytest.raises(ParameterError):
+                divides_binomial(5, 3, base)
+        with pytest.raises(ParameterError):
+            divides_binomial(3, 4, 3)
+        with pytest.raises(ParameterError):
+            divides_binomial(3, -1, 3)
+
+
 class TestSieve:
     def test_small_table(self):
         s = build_sieve(10)

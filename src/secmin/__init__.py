@@ -4,7 +4,6 @@ bound evaluators."""
 
 from .arith import (
     PrimePowerSieve,
-    Rational,
     binomial,
     build_sieve,
     divides_binomial,

@@ -1,20 +1,26 @@
 """Exact integer substrate: binomial coefficients, base-p digit tests, carry-count
 p-adic valuations, and a combined prime / largest-prime-power sieve.
 
-All operations are pure; a sieve is immutable once built and safe to share
-across threads.
+is_prime answers n <= PRIME_TABLE_CAP from one shared Eratosthenes table.
+Nothing is sieved at import: the first query that needs more of the table
+rebuilds it at least twice as large, up to the cap, and rebinds the module
+name to the new table.  A table is never changed in place, so a thread that
+still holds the old one reads a complete table.  Above the cap is_prime falls
+back to trial division.  A PrimePowerSieve is immutable once built and safe to
+share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import ParameterError, ResourceLimitError
 
-# Exact rational arithmetic. Fraction already stores lowest terms with a
-# positive denominator and never rounds, which is the whole contract.
-Rational = Fraction
+# Largest n that is_prime answers from the shared table (a 1 MiB bytearray).
+PRIME_TABLE_CAP = 1 << 20
+
+# The shared table: entry i is 1 iff i is prime.  Replaced whole, never edited.
+_table = bytearray()
 
 
 def binomial(n: int, m: int) -> int:
@@ -31,9 +37,14 @@ def binomial(n: int, m: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality test for machine-scale n."""
+    """Primality: a table lookup up to PRIME_TABLE_CAP, trial division above it."""
     if n < 2:
         return False
+    if n <= PRIME_TABLE_CAP:
+        t = _table  # read inline: a call to primes_covering per query costs a third more
+        if n >= len(t):
+            t = primes_covering(n)
+        return t[n] == 1
     if n % 2 == 0:
         return n == 2
     if n % 3 == 0:
@@ -50,20 +61,19 @@ def is_prime(n: int) -> bool:
 def kummer_valuation(n: int, m: int, p: int) -> int:
     """v_p(C(n, m)) as the number of carries when adding m and n-m in base p.
 
+    Adding m and n-m carries out of digit k-1 exactly when m mod p^k exceeds
+    n mod p^k, so this counts those k >= 1; none qualifies once p^k > n.
     O(log_p n); never touches the binomial itself.
     """
     if not is_prime(p):
         raise ParameterError(f"p must be prime, got {p}")
     if m < 0 or m > n:
         raise ParameterError(f"need 0 <= m <= n, got n={n}, m={m}")
-    a, b = m, n - m
     carries = 0
-    carry = 0
-    while a or b or carry:
-        carry = 1 if a % p + b % p + carry >= p else 0
-        carries += carry
-        a //= p
-        b //= p
+    q = p
+    while q <= n:
+        carries += m % q > n % q
+        q *= p
     return carries
 
 
@@ -159,6 +169,24 @@ def prime_table(limit: int) -> bytearray:
     except MemoryError as exc:
         raise ResourceLimitError(f"sieve limit {limit} exhausted memory") from exc
     return table
+
+
+def primes_covering(n: int) -> bytearray:
+    """An Eratosthenes table (as prime_table) with an entry for n >= 0.
+
+    Up to PRIME_TABLE_CAP this is the shared table, first grown to at least
+    twice its size when it is too short; above the cap, a fresh prime_table(n).
+    Callers must not modify it.
+    """
+    global _table
+    t = _table
+    if n < len(t):
+        return t
+    if n > PRIME_TABLE_CAP:
+        return prime_table(n)
+    t = prime_table(min(max(n, 2 * len(t), 1), PRIME_TABLE_CAP))
+    _table = t
+    return t
 
 
 def build_sieve(limit: int) -> PrimePowerSieve:

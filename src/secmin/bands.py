@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 
-from .arith import PrimePowerSieve, build_sieve, is_prime, largest_undivided, prime_table
+from .arith import PrimePowerSieve, build_sieve, is_prime, largest_undivided, primes_covering
 from .errors import ParameterError, VerificationError
 
 
@@ -111,7 +111,7 @@ def min_band(n: int) -> int:
         raise ParameterError(f"min_band needs n >= 2, got {n}")
     cap = n // 2
     best = cap
-    for p in compress(range(n, 1, -1), reversed(prime_table(n))):
+    for p in compress(range(n, 1, -1), primes_covering(n)[n:1:-1]):
         b = largest_undivided(n, cap, p)
         if b < best:
             if b == 0:

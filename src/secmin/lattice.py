@@ -342,7 +342,8 @@ def _adjugate_lattice(lat: GramLattice) -> GramLattice:
     rows = []
     for row in inv:
         scaled = [x * det for x in row]
-        assert all(s.denominator == 1 for s in scaled)
+        if any(s.denominator != 1 for s in scaled):
+            raise VerificationError(f"det * inverse Gram is not integral for {lat.gram}")
         rows.append([int(s) for s in scaled])
     return GramLattice.from_rows(rows)
 
@@ -380,7 +381,8 @@ def _min_primitive_covol2(lat: GramLattice, p: int, minima: MinimaProfile, budge
     independent p-subsets of that ball therefore reaches every candidate.
     """
     u = _saturated_covol2(lat, list(minima.witnesses[:p]))
-    assert u is not None
+    if u is None:
+        raise VerificationError(f"the first {p} minima witnesses of {lat.gram} are dependent")
     factor2 = (4.0**p) * math.exp(-2 * ball_volume_log(p))
     lam1 = minima.sq_minima[0]
     r2 = math.ceil(factor2 * u / lam1 ** (p - 1) * (1 + 1e-6))
@@ -469,8 +471,9 @@ def verify_transference(
     For each p in [1, rank], checks
         ell_(rank-p)(dual) <= sum_(j<=p) lambda_j
                            <= C(rank-1, K) + ell_(rank-p)(dual) + log det,
-    over the rationals only, with the rank-0 dual height equal to 0.  Both
-    sides are theorems for integer Gram lattices of rank <= 5: the lower via
+    over the rationals only, with the rank-0 dual height equal to 0.  Ranks
+    above HEIGHT_MAX_RANK = 4 are rejected with ParameterError.  Both sides
+    are theorems for the integer Gram lattices it accepts: the lower via
     covolume duality plus Hadamard on the minima witnesses, the upper via the
     second-theorem volume bound (every partial minima sum is at most the full
     one, primal sublattice covolumes are >= 1, and the unit-ball volume grows

@@ -1,12 +1,16 @@
 """Substrate tests: binomials, digit kernels, valuations, sieve tables."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from secmin import arith
 from secmin.arith import (
+    PRIME_TABLE_CAP,
     binomial,
     build_sieve,
     divides_binomial,
@@ -18,6 +22,13 @@ from secmin.arith import (
 from secmin.errors import ParameterError, ResourceLimitError
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+# 1048573 and 1048583 are the primes either side of PRIME_TABLE_CAP = 2^20
+VALUATION_PRIMES = SMALL_PRIMES + [1009, 65537, 1048573, 1048583, 10**12 + 39]
+
+
+def prime_by_trial_division(n: int) -> bool:
+    """Test oracle: no divisor in [2, sqrt(n)]."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def valuation_by_factoring(n: int, m: int, p: int) -> int:
@@ -86,11 +97,27 @@ class TestKummerValuation:
                 for m in range(n + 1):
                     assert kummer_valuation(n, m, p) == legendre_valuation(n, m, p)
 
+    @given(
+        st.integers(min_value=0, max_value=10**13),
+        st.integers(min_value=0, max_value=10**13),
+        st.sampled_from(VALUATION_PRIMES),
+    )
+    @example(10, 3, 11)
+    @example(3 * 1048583**2 + 5, 1048583**2 + 1048582, 1048583)
+    def test_against_legendre_random(self, a, b, p):
+        # includes p > n (valuation 0) and primes above PRIME_TABLE_CAP
+        n, m = max(a, b), min(a, b)
+        assert kummer_valuation(n, m, p) == legendre_valuation(n, m, p)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ParameterError):
             kummer_valuation(5, 6, 2)
         with pytest.raises(ParameterError):
-            kummer_valuation(5, 2, 4)
+            kummer_valuation(5, -1, 2)
+        # composite or non-positive bases, below and above PRIME_TABLE_CAP
+        for base in (4, 1, 0, -3, PRIME_TABLE_CAP + 1):
+            with pytest.raises(ParameterError):
+                kummer_valuation(5, 2, base)
 
 
 class TestDividesBinomial:
@@ -148,6 +175,66 @@ class TestDigitExpansion:
             divides_binomial(3, 4, 3)
         with pytest.raises(ParameterError):
             divides_binomial(3, -1, 3)
+
+
+class TestIsPrime:
+    def test_edges_and_cap_window(self, monkeypatch):
+        monkeypatch.setattr(arith, "_table", bytearray())
+        for n in [-(10**6), -7, -2, -1, 0, 1, *range(PRIME_TABLE_CAP - 64, PRIME_TABLE_CAP + 65)]:
+            assert is_prime(n) == prime_by_trial_division(n), n
+        # small queries after the table grew to the cap
+        assert len(arith._table) == PRIME_TABLE_CAP + 1
+        for n in range(-3, 3000):
+            assert is_prime(n) == prime_by_trial_division(n), n
+
+    @given(st.integers(min_value=-1000, max_value=10**7))
+    def test_against_trial_division(self, n):
+        assert is_prime(n) == prime_by_trial_division(n)
+
+    def test_large_n_takes_trial_division(self, monkeypatch):
+        monkeypatch.setattr(arith, "_table", bytearray())
+        assert is_prime(10**12 + 39)
+        assert not is_prime(10**12 + 37)
+        assert not is_prime(1048583 * 1048573)
+        assert len(arith._table) == 0  # nothing sieved above the cap
+
+    def test_table_grows_by_rebinding(self, monkeypatch):
+        monkeypatch.setattr(arith, "_table", bytearray())
+        assert is_prime(101)
+        old = arith._table
+        snapshot = bytes(old)
+        assert is_prime(1009)
+        assert arith._table is not old and bytes(old) == snapshot
+        assert len(arith._table) >= 2 * len(old)
+        assert not is_prime(1011)
+        n = len(arith._table)  # one past the end: grows again
+        assert is_prime(n) == prime_by_trial_division(n)
+        assert len(arith._table) >= 2 * n
+
+    def test_threads_share_growing_table(self, monkeypatch):
+        monkeypatch.setattr(arith, "_table", bytearray())
+        hi = 1 << 16
+        expected = [prime_by_trial_division(n) for n in range(hi)]
+        wrong = []
+
+        def worker(offset):
+            # each thread climbs through the sizes, so growths interleave
+            for n in range(offset, hi, 7):
+                if is_prime(n) != expected[n]:
+                    wrong.append(n)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(7)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
 
 class TestSieve:

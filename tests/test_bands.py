@@ -85,8 +85,9 @@ class TestMinBand:
                 assert band_gcd(n, b - 1).gcd == 1
 
     def test_large_rows_match_sieve_gaps(self):
-        sieve = build_sieve(10**6)
-        for n in (10030, 50894, 199999, 200000, 10**6):
+        # rows above PRIME_TABLE_CAP = 2^20 take a fresh table, not the shared one
+        sieve = build_sieve(2**20 + 2)
+        for n in (10030, 50894, 199999, 200000, 10**6, 2**20, 2**20 + 1, 2**20 + 2):
             assert min_band(n) == sieve.gap(n), n
         assert sieve.gap(10**6) == 17
 

@@ -1,5 +1,6 @@
 """Lattice-lab tests with independent box-enumeration oracles."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from secmin.bounds import NumberFieldData, ball_volume_log
-from secmin.errors import ParameterError, ResourceLimitError
+from secmin import lattice
+from secmin.errors import ParameterError, ResourceLimitError, VerificationError
 from secmin.lattice import (
     GramLattice,
     HomogeneousForm,
@@ -222,6 +224,13 @@ class TestDualLattice:
         assert sq[0] == Fraction(2, 3)
         assert math.isclose(logs[0], 0.5 * math.log(2 / 3), rel_tol=1e-12)
 
+    def test_non_integral_adjugate_detected(self, monkeypatch):
+        # det(HEXAGONAL) = 3, so an inverse with entries 1/2 scales to 3/2
+        half = Fraction(1, 2)
+        monkeypatch.setattr(lattice, "_fraction_inverse", lambda entries: [[half, 0], [0, half]])
+        with pytest.raises(VerificationError):
+            dual_minima(HEXAGONAL)
+
 
 class TestSublatticeHeights:
     def test_named_examples(self):
@@ -269,6 +278,14 @@ class TestSublatticeHeights:
         lat = GramLattice.from_rows([[1 if i == j else 0 for j in range(5)] for i in range(5)])
         with pytest.raises(ParameterError):
             sublattice_heights(lat)
+
+    def test_dependent_witnesses_detected(self, monkeypatch):
+        z3 = GramLattice.from_rows([[1 if i == j else 0 for j in range(3)] for i in range(3)])
+        profile = successive_minima(z3)
+        bad = dataclasses.replace(profile, witnesses=((1, 0, 0), (-1, 0, 0), (0, 0, 1)))
+        monkeypatch.setattr(lattice, "successive_minima", lambda lat, budget: bad)
+        with pytest.raises(VerificationError):
+            sublattice_heights(z3)
 
 
 class TestTransference:

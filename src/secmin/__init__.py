@@ -69,7 +69,6 @@ from .secant import (
     degree_oracle,
     pushforward_degree,
     restricted_segre,
-    segre_series,
 )
 
 __version__ = "0.1.0"

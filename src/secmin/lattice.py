@@ -1,13 +1,15 @@
 """Desk-scale laboratory for small integer lattices given by Gram matrices.
 
-Exact successive minima by bounded enumeration, exact rational dual Gram
-matrices, minimal covolumes of primitive sublattices with a Minkowski-certified
-search radius, a two-sided transference check of minima against dual
-sublattice heights, and grid avoidance of hypersurfaces.
+Exact successive minima by bounded enumeration on integer Bareiss pivots,
+whose per-level windows are exact integer square roots; exact rational dual
+Gram matrices as the integer adjugate over the determinant; minimal covolumes
+of primitive sublattices with a Minkowski-certified search radius; a two-sided
+transference check of minima against dual sublattice heights; and grid
+avoidance of hypersurfaces.
 
-Everything is exact except the final logarithms: squared minima are integers,
-squared covolumes are rationals, and comparisons in tests can therefore be
-made on the exact squares.
+Everything is exact except the final logarithms and the sublattice search
+radius: squared minima are integers, squared covolumes are rationals, and
+comparisons in tests can therefore be made on the exact squares.
 """
 
 from __future__ import annotations
@@ -181,89 +183,86 @@ class TransferenceReport:
         return all(r.printed_ok for r in self.rows)
 
 
-def _ldl(gram) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """G = L D L^T with unit lower-triangular L; pivots positive iff G is positive definite."""
-    n = len(gram)
-    d = [Fraction(0)] * n
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        acc = Fraction(gram[i][i])
-        for k in range(i):
-            acc -= d[k] * mu[k][i] * mu[k][i]
-        if acc <= 0:
-            raise ParameterError("matrix is not positive definite")
-        d[i] = acc
-        for j in range(i + 1, n):
-            s = Fraction(gram[i][j])
-            for k in range(i):
-                s -= d[k] * mu[k][i] * mu[k][j]
-            mu[i][j] = s / acc
-    return d, mu
-
-
-def short_vectors(gram, bound2, budget: int = DEFAULT_BUDGET) -> list[tuple[Fraction, tuple[int, ...]]]:
+def short_vectors(gram, bound2: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, tuple[int, ...]]]:
     """All nonzero v with v.G.v <= bound2, one of each +-pair, sorted by (norm^2, coords).
 
-    Recursive descent on the LDL decomposition; float square roots only bracket
-    the integer windows, membership is decided exactly.  Raises when the step
-    budget is exceeded.
+    Depth-first descent on integer Bareiss pivots of the positive-definite G.
+    With D_k its leading principal minors and lam[i][j] the Bareiss entries
+    of row i (lam[i][i] = D_(i+1)),
+        v.G.v = sum_i (D_(i+1) v_i + N_i)^2 / (D_i D_(i+1)),  N_i = sum_(j>i) lam[i][j] v_j,
+    so with S = lcm(D_i D_(i+1)) and w_i = S / (D_i D_(i+1)) every term of
+    S v.G.v is an integer.  The window at each level,
+    |D_(i+1) v_i + N_i| <= isqrt(rem // w_i) for the remaining scaled norm
+    rem, is exact, and the descent uses integers only.  It keeps the last
+    nonzero coordinate positive and reports each vector with its first
+    nonzero coordinate positive.  Raises when the step budget is exceeded.
     """
     n = len(gram)
-    d, mu = _ldl(gram)
-    bound = Fraction(bound2)
-    if bound < 0:
+    if bound2 < 0:
         return []
-    out: list[tuple[Fraction, tuple[int, ...]]] = []
+    lam = [list(row) for row in gram]
+    minors = [1]
+    for k in range(n):
+        pivot = lam[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                lam[i][j] = (lam[i][j] * pivot - lam[i][k] * lam[k][j]) // minors[k]
+        minors.append(pivot)
+    scale = math.lcm(*(minors[i] * minors[i + 1] for i in range(n)))
+    weight = [scale // (minors[i] * minors[i + 1]) for i in range(n)]
+    out: list[tuple[int, tuple[int, ...]]] = []
     coords = [0] * n
     steps = 0
 
-    def descend(level: int, rem: Fraction) -> None:
+    def descend(level: int, rem: int, signed: bool) -> None:
+        # signed: a coordinate above this level is nonzero, so x may take either sign
         nonlocal steps
-        if level < 0:
-            v = tuple(coords)
-            for c in v:
-                if c > 0:
-                    out.append((bound - rem, v))
-                    return
-                if c < 0:
-                    return
-            return
-        c = Fraction(0)
-        row = mu[level]
+        row = lam[level]
+        c = 0
         for j in range(level + 1, n):
             if coords[j]:
                 c += row[j] * coords[j]
-        r = math.sqrt(rem / d[level]) if rem > 0 else 0.0
-        lo = math.floor(-c - r) - 1
-        hi = math.ceil(-c + r) + 1
+        d, w = minors[level + 1], weight[level]
+        r = math.isqrt(rem // w)
+        lo = -((r + c) // d) if signed else int(level == 0)
+        hi = (r - c) // d
+        if hi < lo:
+            return
+        steps += hi - lo + 1
+        if steps > budget:
+            raise ResourceLimitError(f"enumeration budget {budget} exceeded at radius^2 = {bound2}")
+        if level == 0:
+            tail = tuple(coords[1:])
+            flip = next((x < 0 for x in tail if x), False)
+            for x in range(lo, hi + 1):
+                y = d * x + c
+                v = (x,) + tail
+                if x < 0 or (x == 0 and flip):
+                    v = tuple(-t for t in v)
+                out.append((bound2 - (rem - w * y * y) // scale, v))
+            return
         for x in range(lo, hi + 1):
-            steps += 1
-            if steps > budget:
-                raise ResourceLimitError(
-                    f"enumeration budget {budget} exceeded at radius^2 = {bound2}"
-                )
-            t = d[level] * (x + c) ** 2
-            if t <= rem:
-                coords[level] = x
-                descend(level - 1, rem - t)
+            y = d * x + c
+            coords[level] = x
+            descend(level - 1, rem - w * y * y, signed or x != 0)
         coords[level] = 0
 
-    descend(n - 1, bound)
+    descend(n - 1, scale * bound2, False)
     out.sort()
     return out
 
 
-def _extends_rank(rows: list[list[Fraction]], v: tuple[int, ...]) -> bool:
-    """Echelon-update independence test; appends the reduced row when independent."""
-    work = [Fraction(x) for x in v]
+def _extends_rank(rows: list[list[int]], v: tuple[int, ...]) -> bool:
+    """Fraction-free echelon update; appends the reduced row when v is independent of rows."""
+    work = list(v)
     for row in rows:
         pivot = next(i for i, x in enumerate(row) if x)
         if work[pivot]:
-            f = work[pivot] / row[pivot]
-            for i in range(pivot, len(work)):
-                work[i] -= f * row[i]
+            a, b = row[pivot], work[pivot]
+            work = [a * w - b * r for w, r in zip(work, row)]
     if any(work):
-        rows.append(work)
+        g = math.gcd(*work)
+        rows.append([w // g for w in work])
         return True
     return False
 
@@ -271,35 +270,30 @@ def _extends_rank(rows: list[list[Fraction]], v: tuple[int, ...]) -> bool:
 def successive_minima(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> MinimaProfile:
     """Exact successive minima by exhaustive enumeration plus greedy witness selection.
 
-    The radius is the smaller of the largest Gram diagonal entry (the basis
-    itself gives rank-many independent vectors) and the Minkowski second
-    theorem bound (2^n/B_n)^2 det, valid because squared norms of an integer
-    Gram lattice are at least 1.  Greedy selection of independent vectors in
-    (norm, lex) order realizes every minimum exactly.
+    Greedy selection of independent vectors in (norm, lex) order realizes
+    every minimum exactly, and it picks the same vectors from any sorted
+    prefix that holds rank-many independent ones.  So the radius^2 starts at
+    the smallest Gram diagonal entry and doubles until such a prefix appears,
+    capped at the largest diagonal entry, where the basis itself supplies
+    them.
     """
     n = lat.rank
-    max_diag = max(lat.gram[i][i] for i in range(n))
-    mink = (4.0**n) * math.exp(-2 * ball_volume_log(n)) * lat.det
-    bound2 = min(max_diag, math.ceil(mink * (1 + 1e-9)))
-    try:
-        return successive_minima_at_radius(lat, bound2, budget)
-    except VerificationError:
-        # float slop in the Minkowski radius; the diagonal bound is exact
-        return successive_minima_at_radius(lat, max_diag, budget)
-
-
-def successive_minima_at_radius(lat: GramLattice, bound2: int, budget: int = DEFAULT_BUDGET) -> MinimaProfile:
-    vecs = short_vectors(lat.gram, bound2, budget)
-    chosen: list[tuple[Fraction, tuple[int, ...]]] = []
-    rows: list[list[Fraction]] = []
-    for q2, v in vecs:
-        if _extends_rank(rows, v):
-            chosen.append((q2, v))
-            if len(chosen) == lat.rank:
-                break
-    if len(chosen) < lat.rank:
-        raise VerificationError(f"radius^2 {bound2} missed independent vectors, rank {lat.rank}")
-    sq = tuple(int(q2) for q2, _ in chosen)
+    diagonal = [lat.gram[i][i] for i in range(n)]
+    bound2, cap = min(diagonal), max(diagonal)
+    while True:
+        chosen: list[tuple[int, tuple[int, ...]]] = []
+        rows: list[list[int]] = []
+        for q2, v in short_vectors(lat.gram, bound2, budget):
+            if _extends_rank(rows, v):
+                chosen.append((q2, v))
+                if len(chosen) == n:
+                    break
+        if len(chosen) == n or bound2 == cap:
+            break
+        bound2 = min(2 * bound2, cap)
+    if len(chosen) < n:
+        raise VerificationError(f"radius^2 {bound2} missed independent vectors, rank {n}")
+    sq = tuple(q2 for q2, _ in chosen)
     return MinimaProfile(
         lattice=lat,
         sq_minima=sq,
@@ -308,44 +302,50 @@ def successive_minima_at_radius(lat: GramLattice, bound2: int, budget: int = DEF
     )
 
 
-def _fraction_inverse(entries: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(entries)
-    aug = [[Fraction(entries[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ParameterError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+def _adjugate(rows: list[list[int]]) -> list[list[int]]:
+    """Integer adjugate: adj[i][j] is the (j, i) cofactor, a Bareiss minor."""
+    n = len(rows)
+    return [
+        [
+            (-1) ** (i + j) * _int_det([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def _checked_adjugate(rows: list[list[int]], det: int) -> list[list[int]]:
+    """The adjugate, after checking rows . adj == det . I exactly."""
+    adj = _adjugate(rows)
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            if sum(rows[i][k] * adj[k][j] for k in range(n)) != (det if i == j else 0):
+                raise VerificationError(f"G . adj(G) != det(G) . I for {rows}")
+    return adj
 
 
 def dual_lattice(lat: GramLattice | RationalGram) -> RationalGram:
-    """Gram matrix of the metric dual in the dual basis: the exact inverse Gram."""
+    """Gram matrix of the metric dual in the dual basis: the exact inverse Gram.
+
+    A rational Gram is first cleared of denominators by their lcm L; the
+    inverse is then L adj(L G) / det(L G), from integer cofactors.
+    """
     if isinstance(lat, GramLattice):
-        entries = [[Fraction(x) for x in row] for row in lat.gram]
+        rows, denom, det = [list(r) for r in lat.gram], 1, lat.det
     else:
-        entries = [[Fraction(x) for x in row] for row in lat.entries]
-    inv = _fraction_inverse(entries)
-    return RationalGram(tuple(tuple(row) for row in inv))
+        denom = math.lcm(*(x.denominator for row in lat.entries for x in row))
+        rows = [[int(x * denom) for x in row] for row in lat.entries]
+        det = _int_det(rows)
+        if det == 0:
+            raise ParameterError("matrix is singular")
+    adj = _checked_adjugate(rows, det)
+    return RationalGram(tuple(tuple(Fraction(denom * a, det) for a in row) for row in adj))
 
 
 def _adjugate_lattice(lat: GramLattice) -> GramLattice:
-    """The dual rescaled by det: an integer Gram lattice with the dual's geometry."""
-    det = lat.det
-    inv = _fraction_inverse([[Fraction(x) for x in row] for row in lat.gram])
-    rows = []
-    for row in inv:
-        scaled = [x * det for x in row]
-        if any(s.denominator != 1 for s in scaled):
-            raise VerificationError(f"det * inverse Gram is not integral for {lat.gram}")
-        rows.append([int(s) for s in scaled])
-    return GramLattice.from_rows(rows)
+    """The dual rescaled by det: the integer adjugate Gram, with the dual's geometry."""
+    return GramLattice.from_rows(_checked_adjugate([list(r) for r in lat.gram], lat.det))
 
 
 def _saturated_covol2(lat: GramLattice, subset: list[tuple[int, ...]]) -> Fraction | None:

@@ -2,11 +2,15 @@
 
 Two independent routes to the same integer: a closed binomial sum, and the
 coefficient extraction of an inverse total Chern series (the Segre series)
-computed with exact rationals in a truncated Chow ring of the d-th symmetric
-product.  The ring is generated by the point-divisor class x and the
-theta-restriction class theta, with x^i theta^j = 0 once i + j exceeds the
-symmetric-product dimension or j exceeds the genus, and with the evaluation
-x^(d-a) theta^a |-> a! C(g, a) in top degree.
+in a truncated Chow ring of the d-th symmetric product.  The ring is generated
+by the point-divisor class x and the theta-restriction class theta, with
+x^i theta^j = 0 once i + j exceeds the symmetric-product dimension or j
+exceeds the genus.  It is held in the divided-power basis
+theta^[j] = theta^j / j! (ACGH, Geometry of Algebraic Curves I, ch. VIII), in
+which the Chern series has integer coefficients, products obey
+theta^[a] theta^[b] = C(a+b, a) theta^[a+b], and the top-degree evaluation is
+the integer push-forward x^(d-a) theta^[a] |-> C(g, a); all arithmetic is on
+integers.
 
 Everything here is pure and immutable; parameter sweeps parallelize trivially.
 """
@@ -14,8 +18,7 @@ Everything here is pure and immutable; parameter sweeps parallelize trivially.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .arith import binomial
 from .errors import ParameterError, VerificationError
@@ -73,27 +76,18 @@ class Truncation:
     total_degree: int
     theta_cap: int
 
-    def keeps(self, i: int, j: int) -> bool:
-        return i + j <= self.total_degree and j <= self.theta_cap
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class ChowElement:
-    """Exact-rational polynomial in x and theta modulo the truncation relations."""
+    """Integer polynomial in x and the divided powers theta^[j] modulo the truncation relations."""
 
     __slots__ = ("trunc", "coeffs")
 
-    def __init__(self, trunc: Truncation, coeffs: dict[tuple[int, int], Fraction] | None = None):
+    def __init__(self, trunc: Truncation, coeffs: dict[tuple[int, int], int] | None = None):
         self.trunc = trunc
-        kept = {}
-        if coeffs:
-            for (i, j), c in coeffs.items():
-                if c and trunc.keeps(i, j):
-                    kept[(i, j)] = Fraction(c)
-        self.coeffs = kept
+        top, cap = trunc.total_degree, trunc.theta_cap
+        self.coeffs = {
+            (i, j): c for (i, j), c in (coeffs or {}).items() if c and j <= cap and i + j <= top
+        }
 
     @classmethod
     def zero(cls, trunc: Truncation) -> "ChowElement":
@@ -101,18 +95,18 @@ class ChowElement:
 
     @classmethod
     def unit(cls, trunc: Truncation) -> "ChowElement":
-        return cls(trunc, {(0, 0): _ONE})
+        return cls(trunc, {(0, 0): 1})
 
     @classmethod
-    def monomial(cls, trunc: Truncation, i: int, j: int, c: Fraction | int = 1) -> "ChowElement":
-        return cls(trunc, {(i, j): Fraction(c)})
+    def monomial(cls, trunc: Truncation, i: int, j: int, c: int = 1) -> "ChowElement":
+        return cls(trunc, {(i, j): c})
 
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return self.coeffs.get((i, j), _ZERO)
+    def coefficient(self, i: int, j: int) -> int:
+        return self.coeffs.get((i, j), 0)
 
     @property
     def is_unit(self) -> bool:
-        return self.coeffs == {(0, 0): _ONE}
+        return self.coeffs == {(0, 0): 1}
 
     @property
     def is_zero(self) -> bool:
@@ -121,39 +115,17 @@ class ChowElement:
     def __add__(self, other: "ChowElement") -> "ChowElement":
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            s = out.get(k, _ZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            out[k] = out.get(k, 0) + c
         return ChowElement(self.trunc, out)
-
-    def __neg__(self) -> "ChowElement":
-        return ChowElement(self.trunc, {k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other: "ChowElement") -> "ChowElement":
-        return self + (-other)
 
     def __mul__(self, other: "ChowElement") -> "ChowElement":
-        keeps = self.trunc.keeps
-        out: dict[tuple[int, int], Fraction] = {}
+        """Termwise product with theta^[a] theta^[b] = C(a+b, a) theta^[a+b]."""
+        out: dict[tuple[int, int], int] = {}
         for (i1, j1), c1 in self.coeffs.items():
             for (i2, j2), c2 in other.coeffs.items():
-                i, j = i1 + i2, j1 + j2
-                if keeps(i, j):
-                    key = (i, j)
-                    s = out.get(key, _ZERO) + c1 * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
+                key = (i1 + i2, j1 + j2)
+                out[key] = out.get(key, 0) + c1 * c2 * comb(key[1], j1)
         return ChowElement(self.trunc, out)
-
-    def scale(self, c: Fraction | int) -> "ChowElement":
-        c = Fraction(c)
-        if not c:
-            return ChowElement(self.trunc)
-        return ChowElement(self.trunc, {k: v * c for k, v in self.coeffs.items()})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ChowElement) and self.coeffs == other.coeffs
@@ -166,7 +138,7 @@ class ChowElement:
             return "0"
         parts = []
         for (i, j), c in sorted(self.coeffs.items()):
-            mono = "".join(filter(None, [f"x^{i}" if i else "", f"th^{j}" if j else ""])) or "1"
+            mono = "".join(filter(None, [f"x^{i}" if i else "", f"th^[{j}]" if j else ""])) or "1"
             parts.append(f"{c}*{mono}")
         return " + ".join(parts)
 
@@ -210,12 +182,13 @@ class ChowSeries:
         top = self.trunc.total_degree
         inv = [ChowElement.unit(self.trunc)]
         for k in range(1, top + 1):
-            acc = ChowElement.zero(self.trunc)
+            acc: dict[tuple[int, int], int] = {}  # minus the t^k coefficient of (self - 1) * inv
             for j in range(1, k + 1):
                 cj = self.terms[j]
                 if not cj.is_zero:
-                    acc = acc + cj * inv[k - j]
-            inv.append(-acc)
+                    for key, c in (cj * inv[k - j]).coeffs.items():
+                        acc[key] = acc.get(key, 0) - c
+            inv.append(ChowElement(self.trunc, acc))
         return ChowSeries(self.trunc, inv)
 
     def __eq__(self, other: object) -> bool:
@@ -249,75 +222,51 @@ def degree_closed_form(p: SecantParams) -> int:
 def chern_series(p: SecantParams, trunc: Truncation | None = None) -> ChowSeries:
     """Total Chern series (1+xt)^(-A) exp(-t theta / (1+xt)) of the dual secant bundle.
 
-    The binomial factor expands with generalized binomial coefficients; the
-    exponential is a finite sum because every term of its argument carries
-    t * theta, which is nilpotent under the truncation.
+    With theta^k / k! written as theta^[k] the exponential becomes
+    sum_k (-1)^k t^k theta^[k] (1+xt)^(-k), so the series is
+    sum_k (-1)^k t^k theta^[k] (1+xt)^(-(A+k)); expanding each binomial, the
+    t^n coefficient is (-1)^n C(A+n-1, i) on x^i theta^[n-i], an integer.
     """
     p.require_valid()
     if trunc is None:
         trunc = Truncation(p.index, p.genus)
-    top = trunc.total_degree
     a = p.series_exponent
-
-    # (1+xt)^(-A) = sum_i (-1)^i C(A+i-1, i) x^i t^i
-    binom_part = ChowSeries(
-        trunc,
-        [ChowElement.monomial(trunc, i, 0, (-1) ** i * binomial(a + i - 1, i)) for i in range(top + 1)],
-    )
-
-    # u = -t theta/(1+xt) = sum_i (-1)^(i+1) x^i theta t^(i+1)
-    u_terms = [ChowElement.zero(trunc)]
-    for i in range(top):
-        u_terms.append(ChowElement.monomial(trunc, i, 1, (-1) ** (i + 1)))
-    u = ChowSeries(trunc, u_terms)
-
-    exp_u = ChowSeries.unit(trunc)
-    power = ChowSeries.unit(trunc)
-    for k in range(1, min(top, trunc.theta_cap) + 1):
-        power = power * u
-        scaled = ChowSeries(trunc, [e.scale(Fraction(1, factorial(k))) for e in power.terms])
-        exp_u = ChowSeries(trunc, [x + y for x, y in zip(exp_u.terms, scaled.terms)])
-
-    return binom_part * exp_u
+    terms = [
+        ChowElement(trunc, {(n - k, k): (-1) ** n * comb(a + n - 1, n - k) for k in range(n + 1)})
+        for n in range(trunc.total_degree + 1)
+    ]
+    return ChowSeries(trunc, terms)
 
 
-def segre_series(c: ChowSeries) -> ChowSeries:
-    """Inverse of a total Chern series; the contract segre * chern = 1 is exact."""
-    return c.inverse()
-
-
-def pushforward_degree(e: ChowElement, p: SecantParams) -> Fraction:
+def pushforward_degree(e: ChowElement, p: SecantParams) -> int:
     """Evaluate a Chow element on the d-th symmetric product.
 
-    Monomials x^i theta^j with i + j = d contribute coeff * j! * C(g, j);
+    Monomials x^i theta^[j] with i + j = d contribute coeff * C(g, j);
     all others push forward to zero.
     """
-    total = _ZERO
     d, g = p.index, p.genus
-    for (i, j), c in e.coeffs.items():
-        if i + j == d:
-            total += c * factorial(j) * comb(g, j)
-    return total
+    return sum(c * comb(g, j) for (i, j), c in e.coeffs.items() if i + j == d)
 
 
 def degree_oracle(p: SecantParams, pad: int = 0) -> int:
     """Secant-variety degree via the Segre series, independent of the closed sum.
 
-    Inverts the Chern series, extracts the t^d coefficient, and pushes it
-    forward; pad widens the truncation to exercise soundness.  A non-integral
-    or negative push-forward means the series arithmetic is broken.
+    Inverts the Chern series term by term, extracts the t^d coefficient, and
+    pushes it forward; pad widens the truncation to exercise soundness.  A
+    push-forward that is not a nonnegative integer means the series arithmetic
+    is broken.
     """
     p.require_valid()
     if pad < 0:
         raise ParameterError(f"pad must be >= 0, got {pad}")
     trunc = Truncation(p.index + pad, p.genus)
-    s = segre_series(chern_series(p, trunc))
+    s = chern_series(p, trunc).inverse()
     value = pushforward_degree(s.coefficient(p.index), p)
-    if value.denominator != 1 or value < 0:
+    if not isinstance(value, int) or value < 0:
         raise VerificationError(
             f"push-forward of the top Segre class is not a nonnegative integer: {value}"
         )
-    return int(value)
+    return value
 
 
 def restricted_segre(a: int, i: int) -> int:

@@ -3,11 +3,12 @@
 import dataclasses
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from secmin.bounds import NumberFieldData, ball_volume_log
 from secmin import lattice
@@ -22,6 +23,7 @@ from secmin.lattice import (
     evaluate_form,
     read_form,
     read_gram,
+    short_vectors,
     sublattice_heights,
     successive_minima,
     verify_transference,
@@ -30,20 +32,41 @@ from secmin.lattice import (
 IDENTITY2 = GramLattice.from_rows([[1, 0], [0, 1]])
 HEXAGONAL = GramLattice.from_rows([[2, 1], [1, 2]])
 DIAG14 = GramLattice.from_rows([[1, 0], [0, 4]])
+SKEWED4 = GramLattice.from_rows([[10, 1, -9, 3], [1, 9, -4, -6], [-9, -4, 10, -3], [3, -6, -3, 13]])
 
 
 def frac_matrix(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
+def fraction_inverse(entries):
+    """Test oracle: Gauss-Jordan inverse over Fraction."""
+    n = len(entries)
+    aug = [
+        [Fraction(entries[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def box_half_widths(lat: GramLattice, bound2: int):
+    """|v_i| <= sqrt(bound2 * (G^-1)_ii) on the ball v.G.v <= bound2 (Cauchy-Schwarz)."""
+    inv = fraction_inverse(lat.gram)
+    return [math.isqrt(int(bound2 * inv[i][i])) + 1 for i in range(lat.rank)]
+
+
 def box_vectors(lat: GramLattice, bound2: int):
     """Test oracle: brute box scan, no recursive pruning, one of each +- pair."""
-    n = lat.rank
-    inv = dual_lattice(lat).entries
-    half = []
-    for i in range(n):
-        r = math.isqrt(int(bound2 * inv[i][i])) + 1
-        half.append(r)
+    half = box_half_widths(lat, bound2)
     out = []
     for v in product(*[range(-h, h + 1) for h in half]):
         if not any(v):
@@ -58,9 +81,10 @@ def box_vectors(lat: GramLattice, bound2: int):
     return out
 
 
-def brute_minima(lat: GramLattice):
+def brute_minima(lat: GramLattice, bound2=None):
     """Test oracle: greedy independent selection from a box enumeration."""
-    bound2 = max(lat.gram[i][i] for i in range(lat.rank))
+    if bound2 is None:
+        bound2 = max(lat.gram[i][i] for i in range(lat.rank))
     vecs = box_vectors(lat, bound2)
     chosen = []
     basis = []
@@ -144,6 +168,44 @@ def random_pd_gram(rng, rank, spread=2):
             continue
 
 
+def gram_lattices(rank, spread):
+    """Hypothesis strategy: Grams A^T A of nonsingular integer A with |a_ij| <= spread."""
+    rows = st.lists(st.integers(-spread, spread), min_size=rank, max_size=rank)
+    mats = st.lists(rows, min_size=rank, max_size=rank).filter(lambda a: int_det(a) != 0)
+    return mats.map(
+        lambda a: GramLattice.from_rows(
+            [[sum(a[r][i] * a[r][j] for r in range(rank)) for j in range(rank)] for i in range(rank)]
+        )
+    )
+
+
+class TestShortVectors:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_against_box_oracle(self, data):
+        # entries up to 4 * 4^2, beyond suite.random_gram's 4 * 2^2; same list, same order
+        rank = data.draw(st.integers(min_value=1, max_value=4))
+        lat = data.draw(gram_lattices(rank, spread=4))
+        bound2 = data.draw(st.integers(min_value=0, max_value=40))
+        assume(math.prod(2 * h + 1 for h in box_half_widths(lat, bound2)) <= 200_000)
+        assert short_vectors(lat.gram, bound2) == box_vectors(lat, bound2)
+
+    def test_examples(self):
+        assert short_vectors(HEXAGONAL.gram, 2) == [(2, (0, 1)), (2, (1, -1)), (2, (1, 0))]
+        assert short_vectors(DIAG14.gram, 4) == [(1, (1, 0)), (4, (0, 1)), (4, (2, 0))]
+        assert short_vectors(IDENTITY2.gram, 0) == short_vectors(IDENTITY2.gram, -1) == []
+        assert short_vectors(((7,),), 63) == [(7, (1,)), (28, (2,)), (63, (3,))]
+
+    def test_results_are_integers(self):
+        for q2, v in short_vectors(SKEWED4.gram, 30):
+            assert type(q2) is int and all(type(x) is int for x in v)
+            assert SKEWED4.norm2(v) == q2
+
+    def test_budget(self):
+        with pytest.raises(ResourceLimitError):
+            short_vectors(IDENTITY2.gram, 10**6, budget=1000)
+
+
 class TestGramLattice:
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -197,6 +259,16 @@ class TestSuccessiveMinima:
             mink = (4.0**lat.rank) * math.exp(-2 * ball_volume_log(lat.rank)) * lat.det
             assert math.prod(prof.sq_minima) <= mink * (1 + 1e-9)
 
+    def test_skewed_gram_stays_small(self):
+        # the adjugate of this Gram has minima (1, 4, 4, 4) but over 10^5 vectors
+        # below its largest diagonal entry 680; the radius grows from 1 instead
+        adj = lattice._adjugate_lattice(SKEWED4)
+        t0 = time.perf_counter()
+        prof = successive_minima(adj, budget=20_000)
+        assert time.perf_counter() - t0 < 2.0
+        assert prof.sq_minima == (1, 4, 4, 4)
+        assert prof.sq_minima == brute_minima(adj, bound2=4)
+
     def test_budget_exhaustion(self):
         rows = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
         rows[5][5] = 10**8
@@ -225,11 +297,19 @@ class TestDualLattice:
         assert math.isclose(logs[0], 0.5 * math.log(2 / 3), rel_tol=1e-12)
 
     def test_non_integral_adjugate_detected(self, monkeypatch):
-        # det(HEXAGONAL) = 3, so an inverse with entries 1/2 scales to 3/2
-        half = Fraction(1, 2)
-        monkeypatch.setattr(lattice, "_fraction_inverse", lambda entries: [[half, 0], [0, half]])
+        # a cofactor step giving G . adj != det . I: here adj = I against det(HEXAGONAL) = 3
+        monkeypatch.setattr(lattice, "_adjugate", lambda rows: [[1, 0], [0, 1]])
         with pytest.raises(VerificationError):
             dual_minima(HEXAGONAL)
+        with pytest.raises(VerificationError):
+            dual_lattice(HEXAGONAL)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_inverse(self, data):
+        rank = data.draw(st.integers(min_value=1, max_value=6))
+        lat = data.draw(gram_lattices(rank, spread=4))
+        assert dual_lattice(lat).entries == fraction_inverse(lat.gram)
 
 
 class TestSublatticeHeights:
@@ -335,6 +415,19 @@ class TestTransference:
         for _ in range(30):
             lat = random_pd_gram(rng, rng.choice([2, 3]))
             assert lat.det <= math.prod(successive_minima(lat).sq_minima)
+
+    def test_skewed_rank4_regression(self):
+        t0 = time.perf_counter()
+        report = verify_transference(SKEWED4)
+        assert time.perf_counter() - t0 < 2.0
+        lower, minima_sum = -0.6931471805599453, 0.6931471805599453
+        assert [(r.p, r.lower, r.minima_sum) for r in report.rows] == [
+            (1, lower, 0.0), (2, lower, 0.0), (3, lower, 0.0), (4, 0.0, minima_sum)
+        ]
+        assert [r.upper for r in report.rows] == [2.033323944498546] * 3 + [2.7264711250584908]
+        assert report.constant == 1.3401767639386004
+        prof = successive_minima(SKEWED4)
+        assert prof.witnesses == ((2, 2, 3, 1), (3, 2, 4, 1), (9, 7, 12, 4), (1, 1, 2, 1))
 
     def test_non_rational_field_rejected(self):
         with pytest.raises(ParameterError):

@@ -4,8 +4,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from secmin import secant, suite
 from secmin.errors import ParameterError, VerificationError
 from secmin.secant import (
     ChowElement,
@@ -18,7 +19,6 @@ from secmin.secant import (
     degree_oracle,
     pushforward_degree,
     restricted_segre,
-    segre_series,
 )
 
 
@@ -29,6 +29,29 @@ def closed_sum_oracle(g: int, m: int, d: int) -> int:
         top, bot = m + g - 1 - d - a, d - a
         total += (comb(top, bot) if 0 <= bot <= top else 0) * comb(g, a)
     return total
+
+
+def power_basis_chern(a: int, top: int, g: int) -> dict:
+    """Test oracle: (1+xt)^(-A) exp(-t theta/(1+xt)) with Fraction coefficients
+    in the power basis theta^j, as {(n, i, j): coefficient of t^n x^i theta^j}."""
+
+    def mul(f, h):
+        out = {}
+        for (n1, i1, j1), c1 in f.items():
+            for (n2, i2, j2), c2 in h.items():
+                key = (n1 + n2, i1 + i2, j1 + j2)
+                if key[0] <= top and key[2] <= g and key[1] + key[2] <= top:
+                    out[key] = out.get(key, 0) + c1 * c2
+        return {k: c for k, c in out.items() if c}
+
+    binom = {(i, i, 0): Fraction((-1) ** i * comb(a + i - 1, i)) for i in range(top + 1)}
+    u = {(i + 1, i, 1): Fraction((-1) ** (i + 1)) for i in range(top)}
+    exp_u, power = {(0, 0, 0): Fraction(1)}, {(0, 0, 0): Fraction(1)}
+    for k in range(1, top + 1):
+        power = mul(power, u)
+        for key, c in power.items():
+            exp_u[key] = exp_u.get(key, 0) + c / factorial(k)
+    return mul(binom, exp_u)
 
 
 class TestClosedForm:
@@ -87,45 +110,75 @@ class TestChernSeries:
     def test_constant_term_is_unit(self):
         assert chern_series(SecantParams(4, 12, 3)).coefficient(0).is_unit
 
+    def test_divided_powers_of_the_fraction_series(self):
+        # coefficient c of x^i theta^j in the power basis is j! c on x^i theta^[j]
+        for g, m, d, pad in [(0, 9, 3, 0), (2, 11, 4, 1), (5, 12, 5, 2), (6, 40, 6, 0)]:
+            p = SecantParams(g, m, d)
+            c = chern_series(p, Truncation(d + pad, g))
+            old = power_basis_chern(p.series_exponent, d + pad, g)
+            new = {(n, i, j): v for n, e in enumerate(c.terms) for (i, j), v in e.coeffs.items()}
+            assert new == {key: v * factorial(key[2]) for key, v in old.items()}
+
+
+class TestDividedPowers:
+    def test_product_rule(self):
+        trunc = Truncation(9, 6)
+        for a in range(7):
+            for b in range(7):
+                prod = ChowElement.monomial(trunc, 1, a) * ChowElement.monomial(trunc, 2, b, 3)
+                if a + b <= 6:
+                    assert prod == ChowElement.monomial(trunc, 3, a + b, 3 * comb(a + b, a))
+                else:
+                    assert prod.is_zero
+
+    def test_theta_power_is_factorial_times_divided_power(self):
+        trunc = Truncation(6, 5)
+        theta = ChowElement.monomial(trunc, 0, 1)
+        power = ChowElement.unit(trunc)
+        for k in range(1, 7):
+            power = power * theta
+            assert power == ChowElement.monomial(trunc, 0, k, factorial(k))  # zero once k > 5
+
 
 class TestSegreSeries:
     def test_inverse_of_unit(self):
         trunc = Truncation(4, 2)
-        assert segre_series(ChowSeries.unit(trunc)) == ChowSeries.unit(trunc)
+        assert ChowSeries.unit(trunc).inverse() == ChowSeries.unit(trunc)
 
     def test_inverse_of_one_plus_xt(self):
         trunc = Truncation(5, 3)
         terms = [ChowElement.unit(trunc), ChowElement.monomial(trunc, 1, 0, 1)]
-        inv = segre_series(ChowSeries(trunc, terms))
+        inv = ChowSeries(trunc, terms).inverse()
         for i in range(6):
             assert inv.coefficient(i).coefficient(i, 0) == (-1) ** i
 
     def test_product_with_inverse_is_unit(self):
         p = SecantParams(3, 10, 4)
         c = chern_series(p)
-        assert segre_series(c) * c == ChowSeries.unit(Truncation(4, 3))
+        assert c.inverse() * c == ChowSeries.unit(Truncation(4, 3))
 
     def test_rejects_non_unit_constant(self):
         trunc = Truncation(3, 1)
         series = ChowSeries(trunc, [ChowElement.monomial(trunc, 0, 0, 2)])
         with pytest.raises(ParameterError):
-            segre_series(series)
+            series.inverse()
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_random_series_inverse_contract(self, data):
-        trunc = Truncation(3, 2)
-        frac = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+        top = data.draw(st.integers(min_value=1, max_value=5))
+        trunc = Truncation(top, data.draw(st.integers(min_value=0, max_value=top)))
         terms = [ChowElement.unit(trunc)]
-        for _ in range(3):
+        for _ in range(top):
             coeffs = {}
-            for i in range(4):
-                for j in range(3):
-                    if i + j <= 3 and data.draw(st.booleans()):
-                        coeffs[(i, j)] = data.draw(frac)
+            for i in range(top + 1):
+                for j in range(top + 1 - i):
+                    if data.draw(st.booleans()):
+                        coeffs[(i, j)] = data.draw(st.integers(min_value=-50, max_value=50))
             terms.append(ChowElement(trunc, coeffs))
         series = ChowSeries(trunc, terms)
-        assert segre_series(series) * series == ChowSeries.unit(trunc)
+        assert series.inverse() * series == ChowSeries.unit(trunc)
+        assert all(isinstance(c, int) for e in series.inverse().terms for c in e.coeffs.values())
 
 
 class TestPushforward:
@@ -138,13 +191,20 @@ class TestPushforward:
     def test_theta_power_full_genus(self):
         g = 3
         p = SecantParams(g, 12, g)
-        e = ChowElement.monomial(Truncation(g, g), 0, g, Fraction(1, factorial(g)))
+        e = ChowElement.monomial(Truncation(g, g), 0, g, 1)  # theta^[g] = theta^g / g!
         assert pushforward_degree(e, p) == 1
 
     def test_mixed_monomial(self):
         p = SecantParams(3, 12, 2)
         e = ChowElement.monomial(Truncation(2, 3), 1, 1, 1)
-        assert pushforward_degree(e, p) == factorial(1) * comb(3, 1)  # 3
+        assert pushforward_degree(e, p) == comb(3, 1)  # 3
+
+    def test_divided_power_evaluation(self):
+        for g, d in [(0, 2), (3, 5), (6, 6), (4, 2)]:
+            p = SecantParams(g, 40, d)
+            trunc = Truncation(d, g)
+            for a in range(min(d, g) + 1):
+                assert pushforward_degree(ChowElement.monomial(trunc, d - a, a, 5), p) == 5 * comb(g, a)
 
     def test_off_degree_contributes_zero(self):
         p = SecantParams(2, 12, 3)
@@ -176,20 +236,41 @@ class TestDegreeOracle:
             p = SecantParams(g, m, d)
             assert degree_oracle(p, pad=2) == degree_oracle(p)
 
-    def test_non_integral_pushforward_detected(self):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=3, max_value=60),
+        st.integers(min_value=0, max_value=2),
+    )
+    def test_padded_oracle_matches_closed_sum(self, g, d, m, pad):
+        assume(2 * d <= m + g - 1)
+        assert degree_oracle(SecantParams(g, m, d), pad=pad) == closed_sum_oracle(g, m, d)
+
+    def test_non_integral_pushforward_detected(self, monkeypatch):
+        # integer kernels cannot yield a fraction, so corrupt the x^2 coefficient
+        # of t^2 in the Chern series: each unit added takes one off the degree
+        real = secant.chern_series
+
+        def corrupted(bump):
+            def patched(p, trunc=None):
+                c = real(p, trunc)
+                if len(c.terms) < 3:
+                    return c
+                bad = c.terms[2] + ChowElement.monomial(c.trunc, 2, 0, bump)
+                return ChowSeries(c.trunc, [*c.terms[:2], bad, *c.terms[3:]])
+
+            return patched
+
         p = SecantParams(2, 9, 2)
-        bad = ChowElement.monomial(Truncation(2, 2), 2, 0, Fraction(1, 3))
-        assert pushforward_degree(bad, p) == Fraction(1, 3)
+        assert degree_oracle(p) == closed_sum_oracle(2, 9, 2) == 43
+        monkeypatch.setattr(secant, "chern_series", corrupted(100))
         with pytest.raises(VerificationError):
-            # a fractional top coefficient must be caught by the oracle's check
-            _fake_oracle_value(p, bad)
-
-
-def _fake_oracle_value(p, element):
-    value = pushforward_degree(element, p)
-    if value.denominator != 1 or value < 0:
-        raise VerificationError(f"push-forward is not a nonnegative integer: {value}")
-    return int(value)
+            degree_oracle(p)  # negative push-forward, caught by the oracle itself
+        monkeypatch.setattr(secant, "chern_series", corrupted(1))
+        assert degree_oracle(p) == 42
+        with pytest.raises(VerificationError):
+            suite.check_secant_two_oracle(2, 2, 9)  # wrong but positive, caught by the comparison
 
 
 class TestRestrictedSegre:

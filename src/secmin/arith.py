@@ -1,5 +1,5 @@
 """Exact integer substrate: binomial coefficients, base-p digit tests, carry-count
-p-adic valuations, and a combined prime / largest-prime-power sieve.
+p-adic valuations (one entry or a whole row), and a sorted prime-power sieve.
 
 is_prime answers n <= PRIME_TABLE_CAP from one shared Eratosthenes table.
 Nothing is sieved at import: the first query that needs more of the table
@@ -13,6 +13,8 @@ share across threads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import compress
 
 from .errors import ParameterError, ResourceLimitError
 
@@ -77,19 +79,26 @@ def kummer_valuation(n: int, m: int, p: int) -> int:
     return carries
 
 
-def divides_binomial(n: int, m: int, p: int) -> bool:
-    """Whether p divides C(n, m): some base-p digit of m exceeds the matching digit of n."""
+def carry_row(n: int, p: int) -> list[int]:
+    """[v_p(C(n, m)) for m = 0..n]: kummer_valuation for a whole row at once.
+
+    For each q = p^k <= n the carry indicator [m mod q > n mod q] is periodic in
+    m: one period (n mod q + 1 zeros, then ones) tiled along the row.  These byte
+    strings are summed as little-endian integers, one byte per m; no byte
+    carries into the next, since an entry counts at most log_p(n) < 256 carries.
+    """
     if not is_prime(p):
         raise ParameterError(f"p must be prime, got {p}")
-    if m < 0 or m > n:
-        raise ParameterError(f"need 0 <= m <= n, got n={n}, m={m}")
-    a, b = m, n
-    while a:
-        if a % p > b % p:
-            return True
-        a //= p
-        b //= p
-    return False
+    if n < 0:
+        raise ParameterError(f"need n >= 0, got n={n}")
+    total = 0
+    q = p
+    while q <= n:
+        r = n % q
+        period = bytes(r + 1) + b"\x01" * (q - r - 1)
+        total += int.from_bytes((period * (n // q + 1))[: n + 1], "little")
+        q *= p
+    return list(total.to_bytes(n + 1, "little"))
 
 
 def largest_undivided(n: int, cap: int, p: int) -> int:
@@ -112,49 +121,28 @@ def largest_undivided(n: int, cap: int, p: int) -> int:
 
 
 class PrimePowerSieve:
-    """Primality table plus, for each n, the largest prime power <= n.
+    """Primality table plus prime_powers, the sorted p^k <= limit with k >= 1.
 
-    Prime powers are p^k with k >= 1 (so primes themselves count).  The table
-    entry for n = 1 is 0: no prime power is <= 1.  Instances are immutable.
+    largest_prime_power(n) is a binary search in it; range scans walk the
+    stretches between consecutive prime powers.  Immutable: do not modify it.
     """
 
-    __slots__ = ("limit", "_is_prime", "_lpp")
+    __slots__ = ("limit", "_is_prime", "prime_powers")
 
-    def __init__(self, limit: int, is_prime_table: bytearray, lpp: list[int]):
+    def __init__(self, limit: int, is_prime_table: bytearray, prime_powers: list[int]):
         self.limit = limit
         self._is_prime = is_prime_table
-        self._lpp = lpp
-
-    def _check(self, n: int) -> None:
-        if n < 1 or n > self.limit:
-            raise ParameterError(f"n={n} outside sieve range [1, {self.limit}]")
-
-    def is_prime(self, n: int) -> bool:
-        self._check(n)
-        return bool(self._is_prime[n])
+        self.prime_powers = prime_powers
 
     def largest_prime_power(self, n: int) -> int:
         """Largest p^k <= n, or 0 for n = 1."""
-        self._check(n)
-        return self._lpp[n]
-
-    def gap(self, n: int) -> int:
-        """n minus the largest prime power <= n; defined for n >= 2."""
-        if n < 2:
-            raise ParameterError(f"gap needs n >= 2, got {n}")
-        self._check(n)
-        return n - self._lpp[n]
-
-    def largest_prime_powers(self) -> list[int]:
-        """The whole table, entry n being largest_prime_power(n), for bulk scans.
-
-        Returned without copying, so callers must not modify it.
-        """
-        return self._lpp
+        if n < 1 or n > self.limit:
+            raise ParameterError(f"n={n} outside sieve range [1, {self.limit}]")
+        i = bisect_right(self.prime_powers, n)
+        return self.prime_powers[i - 1] if i else 0
 
     def primes(self) -> list[int]:
-        t = self._is_prime
-        return [i for i in range(2, self.limit + 1) if t[i]]
+        return list(compress(range(self.limit + 1), self._is_prime))
 
 
 def prime_table(limit: int) -> bytearray:
@@ -195,20 +183,14 @@ def build_sieve(limit: int) -> PrimePowerSieve:
         raise ParameterError(f"sieve limit must be >= 2, got {limit}")
     table = prime_table(limit)
     try:
-        # largest prime power <= n: mark every prime power, then prefix-max
-        lpp = [0] * (limit + 1)
-        for p in range(2, limit + 1):
-            if table[p]:
-                q = p
-                while q <= limit:
-                    lpp[q] = q
-                    q *= p
-        best = 0
-        for n in range(2, limit + 1):
-            if lpp[n] > best:
-                best = lpp[n]
-            else:
-                lpp[n] = best
+        powers = list(compress(range(limit + 1), table))
+        # only primes <= sqrt(limit) have a higher power <= limit
+        for p in powers[: bisect_right(powers, math.isqrt(limit))]:
+            q = p * p
+            while q <= limit:
+                powers.append(q)
+                q *= p
+        powers.sort()
     except MemoryError as exc:
         raise ResourceLimitError(f"sieve limit {limit} exhausted memory") from exc
-    return PrimePowerSieve(limit, table, lpp)
+    return PrimePowerSieve(limit, table, powers)

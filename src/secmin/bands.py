@@ -18,6 +18,7 @@ implementations are serial.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
 
@@ -164,36 +165,59 @@ def verify_band_gap_identity(range_hi: int, sieve: PrimePowerSieve | None = None
     return records
 
 
-def verify_quarter_bound(range_hi: int, sieve: PrimePowerSieve) -> bool:
-    """True iff gap(n) <= n/4 for all 30 <= n <= range_hi."""
-    if range_hi < 30:
-        raise ParameterError(f"quarter bound check needs range_hi >= 30, got {range_hi}")
+def _stretches(range_hi: int, lo: int, sieve: PrimePowerSieve):
+    """(P, E) for the stretches of [lo, range_hi] from the one holding lo: P a prime
+    power, E the last n before the next one or range_hi.  On it gap(n) = n - P."""
     if sieve.limit < range_hi:
         raise ParameterError(f"sieve limit {sieve.limit} below range_hi {range_hi}")
-    lpp = sieve.largest_prime_powers()  # bulk scan; method-call overhead matters at 10^6
-    for n in range(30, range_hi + 1):
-        if 4 * (n - lpp[n]) > n:
-            return False
-    return True
+    pp = sieve.prime_powers
+    first = bisect_right(pp, lo) - 1
+    last = bisect_right(pp, range_hi)
+    return zip(pp[first:last], [q - 1 for q in pp[first + 1 : last]] + [range_hi])
+
+
+def verify_quarter_bound(range_hi: int, sieve: PrimePowerSieve) -> bool:
+    """True iff gap(n) <= n/4 for all 30 <= n <= range_hi.
+
+    Decided one stretch at a time: across a stretch gap(n)/n = 1 - P/n rises
+    with n, so the bound holds on the whole stretch exactly when it holds at
+    its end E, the integer test 4*(E - P) <= E.
+    """
+    if range_hi < 30:
+        raise ParameterError(f"quarter bound check needs range_hi >= 30, got {range_hi}")
+    return all(4 * (end - p) <= end for p, end in _stretches(range_hi, 30, sieve))
 
 
 def asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve | None = None) -> GapSumReport:
-    """Partial sums and pointwise maxima of the gap function, scaled by n^exponent."""
+    """Partial sums and pointwise maxima of the gap function, scaled by n^exponent.
+
+    |exponent|*ln(range_hi) <= 708 keeps every n**exponent a normal float.  Each
+    stretch [P, E], w = E - P, adds w(w+1)/2 to the sum.  Its ratios
+    (n - P)/n**exponent are at most w / min(P**exponent, E**exponent) for either
+    sign; a stretch whose bound is below the running maximum by a relative 1e-9,
+    far above the few ulps of rounding, is skipped.  The rest are scanned per n
+    with the same expression and strict > as a scan of every n, so max_ratio and
+    argmax are bit-identical to it.
+    """
     if range_hi < 2:
         raise ParameterError(f"range_hi must be >= 2, got {range_hi}")
+    if not math.isfinite(exponent) or abs(exponent) * math.log(range_hi) > 708:
+        raise ParameterError(f"exponent {exponent!r} leaves n**exponent outside the float range up to n={range_hi}")
     if sieve is None or sieve.limit < range_hi:
         sieve = build_sieve(range_hi)
     total = 0
     max_ratio = -1.0
     argmax = 2
-    lpp = sieve.largest_prime_powers()
-    for n in range(2, range_hi + 1):
-        c = n - lpp[n]
-        total += c
-        r = c / n**exponent
-        if r > max_ratio:
-            max_ratio = r
-            argmax = n
+    for p, end in _stretches(range_hi, 2, sieve):
+        w = end - p
+        total += w * (w + 1) // 2
+        if w / min(p**exponent, end**exponent) < max_ratio * (1 - 1e-9):
+            continue
+        for n in range(p, end + 1):
+            r = (n - p) / n**exponent
+            if r > max_ratio:
+                max_ratio = r
+                argmax = n
     return GapSumReport(
         n=range_hi,
         partial_sum=total,

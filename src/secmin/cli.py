@@ -3,7 +3,9 @@
 Line-oriented key=value output with a fixed key order, or JSON with --json.
 Exit codes: 0 for pass/report, 1 for a falsified check, 2 for usage or
 precondition errors.  Payload lines are byte-stable across runs; the trailing
-elapsed_ms line is excluded from the stable section.
+elapsed_ms line is excluded from the stable section.  A command returns its
+records and status, and may add a dict of timing fields that the text output
+appends to the elapsed_ms line (verify-all: sieve_ms and <check>_ms).
 """
 
 from __future__ import annotations
@@ -219,13 +221,14 @@ def cmd_lattice(args) -> tuple[list[dict], str]:
     ], "pass" if res.within_bound else "fail"
 
 
-def cmd_verify_all(args) -> tuple[list[dict], str]:
-    results = suite.run_all(quick=args.quick)
+def cmd_verify_all(args) -> tuple[list[dict], str, dict]:
+    run = suite.run_all(quick=args.quick)
     records = [
         {"check": r.name, "status": "pass" if r.ok else "fail", "detail": r.detail}
-        for r in results
+        for r in run
     ]
-    return records, "pass" if all(r.ok for r in results) else "fail"
+    timing = {"sieve_ms": run.sieve_ms, **{f"{r.name}_ms": r.elapsed_ms for r in run}}
+    return records, "pass" if all(r.ok for r in run) else "fail", timing
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        records, status = args.fn(args)
+        records, status, *timing = args.fn(args)
     except (ParameterError, ResourceLimitError, FileNotFoundError) as exc:
         print(f"error={exc}", file=sys.stderr)
         print("status=fail")
@@ -297,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
         for record in records:
             print(_emit(record))
         print(f"status={status}")
-        print(f"elapsed_ms={elapsed}")
+        print(_emit({"elapsed_ms": elapsed, **(timing[0] if timing else {})}))
     return 1 if status == "fail" else 0
 
 

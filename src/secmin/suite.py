@@ -9,9 +9,11 @@ verify-all runs them all and prints one line per check.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import arith, bands, bounds, lattice, secant
 from .errors import ParameterError, VerificationError
@@ -60,6 +62,17 @@ class CheckResult:
     elapsed_ms: int
 
 
+@dataclass(frozen=True)
+class SuiteRun:
+    """run_all's checks in order (iterating yields them) and the time of the sieve they share."""
+
+    checks: list[CheckResult]
+    sieve_ms: int
+
+    def __iter__(self):
+        return iter(self.checks)
+
+
 def _timed(name, fn) -> CheckResult:
     t0 = time.perf_counter()
     try:
@@ -79,27 +92,22 @@ def check_band_gap_identity(hi: int) -> str:
 
 
 def check_prime_power_vanishing(hi: int) -> str:
-    sieve = arith.build_sieve(hi)
-    count = 0
-    for q in range(2, hi + 1):
-        if sieve.largest_prime_power(q) == q:
-            count += 1
-            b = bands.min_band(q)
-            if b != 0:
-                raise VerificationError(f"band at prime power {q} is {b}, expected 0")
-    return f"{count} prime powers <= {hi}, all with band 0"
+    prime_powers = arith.build_sieve(hi).prime_powers
+    for q in prime_powers:
+        b = bands.min_band(q)
+        if b != 0:
+            raise VerificationError(f"band at prime power {q} is {b}, expected 0")
+    return f"{len(prime_powers)} prime powers <= {hi}, all with band 0"
 
 
-def check_quarter_bound(hi: int, sieve: arith.PrimePowerSieve | None = None) -> str:
-    if sieve is None or sieve.limit < hi:
-        sieve = arith.build_sieve(hi)
+def check_quarter_bound(hi: int, sieve: arith.PrimePowerSieve) -> str:
     if not bands.verify_quarter_bound(hi, sieve):
         raise VerificationError(f"gap(n) > n/4 somewhere in [30, {hi}]")
     return f"gap(n) <= n/4 for 30 <= n <= {hi}"
 
 
 def check_kummer_legendre(hi: int) -> str:
-    """Carry-count valuations against factorial-valuation (Legendre) tables."""
+    """Carry-count valuations against factorial-valuation (Legendre) tables, a row at a time."""
     sieve = arith.build_sieve(hi)
     checked = 0
     for p in sieve.primes():
@@ -111,11 +119,14 @@ def check_kummer_legendre(hi: int) -> str:
                 v += 1
             fact_val[n] = fact_val[n - 1] + v
         for n in range(p, hi + 1):
-            for m in range(0, n + 1):
-                expected = fact_val[n] - fact_val[m] - fact_val[n - m]
-                if arith.kummer_valuation(n, m, p) != expected:
-                    raise VerificationError(f"valuation mismatch at n={n}, m={m}, p={p}")
-                checked += 1
+            # expected[m] = v_p(n!) - v_p(m!) - v_p((n-m)!) for m = 0..n
+            denominators = map(operator.add, fact_val, fact_val[n::-1])
+            expected = list(map(operator.sub, repeat(fact_val[n]), denominators))
+            row = arith.carry_row(n, p)
+            if row != expected:
+                m = next((m for m, (a, b) in enumerate(zip(row, expected)) if a != b), min(len(row), n + 1))
+                raise VerificationError(f"valuation mismatch at n={n}, m={m}, p={p}")
+            checked += n + 1
     return f"{checked} valuations agree for n <= {hi}"
 
 
@@ -263,10 +274,8 @@ def check_bound_consistency() -> str:
     return "extremal-height reduction and disc coefficient identities hold to 1e-9"
 
 
-def asymptotic_lines(hi: int, sieve: arith.PrimePowerSieve | None = None) -> list[str]:
+def asymptotic_lines(hi: int, sieve: arith.PrimePowerSieve) -> list[str]:
     """The committed reference format: one line per exponent, repr-formatted floats."""
-    if sieve is None or sieve.limit < hi:
-        sieve = arith.build_sieve(hi)
     lines = []
     for exponent in (0.535, 23 / 18):
         r = bands.asymptotic_report(hi, exponent, sieve)
@@ -277,16 +286,15 @@ def asymptotic_lines(hi: int, sieve: arith.PrimePowerSieve | None = None) -> lis
     return lines
 
 
-def report_asymptotics(hi: int) -> str:
-    return "; ".join(asymptotic_lines(hi))
-
-
-def run_all(quick: bool = False) -> list[CheckResult]:
+def run_all(quick: bool = False) -> SuiteRun:
     p = QUICK if quick else FULL
-    return [
+    t0 = time.perf_counter()
+    sieve = arith.build_sieve(max(p["quarter_hi"], p["asymptotic_hi"]))
+    sieve_ms = int(1000 * (time.perf_counter() - t0))
+    checks = [
         _timed("band-gap-identity", lambda: check_band_gap_identity(p["identity_hi"])),
         _timed("prime-power-vanishing", lambda: check_prime_power_vanishing(p["prime_power_hi"])),
-        _timed("quarter-bound", lambda: check_quarter_bound(p["quarter_hi"])),
+        _timed("quarter-bound", lambda: check_quarter_bound(p["quarter_hi"], sieve)),
         _timed("valuation-two-oracle", lambda: check_kummer_legendre(p["kummer_hi"])),
         _timed("prime-band-identity", lambda: check_prime_band_identity(p["prime_band_hi"])),
         _timed("secant-two-oracle", lambda: check_secant_two_oracle(p["secant_g"], p["secant_d"], p["secant_m"])),
@@ -294,5 +302,6 @@ def run_all(quick: bool = False) -> list[CheckResult]:
         _timed("transference", lambda: check_transference(p["transference_count"])),
         _timed("avoidance", lambda: check_avoidance(p["avoidance_count"])),
         _timed("bound-consistency", check_bound_consistency),
-        _timed("asymptotic-report", lambda: report_asymptotics(p["asymptotic_hi"])),
+        _timed("asymptotic-report", lambda: "; ".join(asymptotic_lines(p["asymptotic_hi"], sieve))),
     ]
+    return SuiteRun(checks, sieve_ms)

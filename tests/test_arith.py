@@ -8,18 +8,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from secmin import arith
+from secmin import arith, suite
 from secmin.arith import (
     PRIME_TABLE_CAP,
     binomial,
     build_sieve,
-    divides_binomial,
+    carry_row,
     is_prime,
     kummer_valuation,
     largest_undivided,
     prime_table,
 )
-from secmin.errors import ParameterError, ResourceLimitError
+from secmin.errors import ParameterError, ResourceLimitError, VerificationError
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
 # 1048573 and 1048583 are the primes either side of PRIME_TABLE_CAP = 2^20
@@ -39,6 +39,31 @@ def valuation_by_factoring(n: int, m: int, p: int) -> int:
         value //= p
         v += 1
     return v
+
+
+def digit_exceeds(n: int, m: int, p: int) -> bool:
+    """Test oracle (Lucas): some base-p digit of m exceeds the matching digit of n."""
+    while m:
+        if m % p > n % p:
+            return True
+        m //= p
+        n //= p
+    return False
+
+
+def old_largest_prime_power_table(limit: int) -> list[int]:
+    """Test oracle, the former per-n sieve table: mark every prime power, then prefix-max."""
+    table = prime_table(limit)
+    lpp = [0] * (limit + 1)
+    for p in range(2, limit + 1):
+        if table[p]:
+            q = p
+            while q <= limit:
+                lpp[q] = q
+                q *= p
+    for n in range(3, limit + 1):
+        lpp[n] = max(lpp[n], lpp[n - 1])
+    return lpp
 
 
 def legendre_valuation(n: int, m: int, p: int) -> int:
@@ -125,22 +150,23 @@ class TestDividesBinomial:
         for p, k in [(2, 3), (3, 2), (5, 1), (7, 2)]:
             q = p**k
             for m in range(1, q):
-                assert divides_binomial(q, m, p)
+                assert kummer_valuation(q, m, p) > 0
 
     def test_edges_and_oracle(self):
-        assert not divides_binomial(10, 0, 3)
-        assert divides_binomial(10, 5, 3)  # C(10,5) = 252 = 4*9*7
+        assert kummer_valuation(10, 0, 3) == 0
+        assert kummer_valuation(10, 5, 3) > 0  # C(10,5) = 252 = 4*9*7
         for n in range(1, 80):
             for p in SMALL_PRIMES:
                 for m in range(n + 1):
                     expected = valuation_by_factoring(n, m, p) > 0
-                    assert divides_binomial(n, m, p) == expected
+                    assert (kummer_valuation(n, m, p) > 0) == expected
 
     def test_agrees_with_valuation(self):
+        # Lucas's digit test and Kummer's carry count decide divisibility alike
         for n in range(1, 150):
             for p in (2, 3, 7):
                 for m in range(n + 1):
-                    assert divides_binomial(n, m, p) == (kummer_valuation(n, m, p) > 0)
+                    assert digit_exceeds(n, m, p) == (kummer_valuation(n, m, p) > 0)
 
 
 class TestLargestUndivided:
@@ -152,29 +178,70 @@ class TestLargestUndivided:
                 assert largest_undivided(n, n, p) == n
                 for cap in range(0, n + 1, max(1, n // 40)):
                     m = largest_undivided(n, cap, p)
-                    assert 0 <= m <= cap and not divides_binomial(n, m, p)
-                    assert all(divides_binomial(n, k, p) for k in range(m + 1, cap + 1))
+                    assert 0 <= m <= cap and kummer_valuation(n, m, p) == 0
+                    assert all(kummer_valuation(n, k, p) > 0 for k in range(m + 1, cap + 1))
 
     @given(st.integers(min_value=0, max_value=10**9), st.sampled_from(SMALL_PRIMES), st.data())
     def test_round_trip_random(self, n, p, data):
         assert largest_undivided(n, n, p) == n
         cap = data.draw(st.integers(min_value=0, max_value=n))
         m = largest_undivided(n, cap, p)
-        assert m <= cap and not divides_binomial(n, m, p)
+        assert m <= cap and kummer_valuation(n, m, p) == 0
         assert largest_undivided(n, m, p) == m
 
 
 class TestDigitExpansion:
     def test_validation(self):
-        # the checked base-p digit comparison rejects a composite base and an
-        # m whose digits cannot sit under n's
+        # the checked carry count rejects a composite base and an m whose
+        # digits cannot sit under n's
         for base in (4, 9, 1, 0):
             with pytest.raises(ParameterError):
-                divides_binomial(5, 3, base)
+                kummer_valuation(5, 3, base)
         with pytest.raises(ParameterError):
-            divides_binomial(3, 4, 3)
+            kummer_valuation(3, 4, 3)
         with pytest.raises(ParameterError):
-            divides_binomial(3, -1, 3)
+            kummer_valuation(3, -1, 3)
+
+
+class TestCarryRow:
+    # the per-entry oracle validates p on every call, so leave out the prime
+    # that needs trial division up to 10^6
+    @given(st.integers(min_value=0, max_value=2000), st.sampled_from(VALUATION_PRIMES[:-1]))
+    @example(0, 2)
+    @example(1, 2)
+    @example(2000, 2)
+    @example(1024, 2)
+    @example(729, 3)
+    @example(30, 31)
+    def test_matches_kummer_valuation(self, n, p):
+        # includes p = 2, p > n (a zero row) and n = 0
+        row = carry_row(n, p)
+        assert row == [kummer_valuation(n, m, p) for m in range(n + 1)]
+
+    def test_against_legendre(self):
+        for n in range(0, 200):
+            for p in SMALL_PRIMES:
+                assert carry_row(n, p) == [legendre_valuation(n, m, p) for m in range(n + 1)]
+
+    @pytest.mark.parametrize("n, m, p", [(5, 0, 2), (37, 18, 3), (120, 120, 7), (113, 60, 113)])
+    def test_bumped_entry_is_named_by_the_check(self, monkeypatch, n, m, p):
+        def bumped(row_n, row_p):
+            row = carry_row(row_n, row_p)
+            if (row_n, row_p) == (n, p):
+                row[m] += 1
+            return row
+
+        monkeypatch.setattr(arith, "carry_row", bumped)
+        with pytest.raises(VerificationError, match=f"^valuation mismatch at n={n}, m={m}, p={p}$"):
+            suite.check_kummer_legendre(120)
+
+    def test_rejects_bad_arguments(self):
+        for base in (4, 9, 1, 0, -3, PRIME_TABLE_CAP + 1):
+            with pytest.raises(ParameterError):
+                carry_row(5, base)
+        for n in (-1, -10):
+            with pytest.raises(ParameterError):
+                carry_row(n, 2)
 
 
 class TestIsPrime:
@@ -240,19 +307,20 @@ class TestIsPrime:
 class TestSieve:
     def test_small_table(self):
         s = build_sieve(10)
-        assert [s.largest_prime_power(n) for n in range(2, 11)] == [2, 3, 4, 5, 5, 7, 8, 9, 9]
-        assert s.largest_prime_powers()[2:] == [2, 3, 4, 5, 5, 7, 8, 9, 9]
-        assert s.largest_prime_powers() is s.largest_prime_powers()  # no copy per call
+        assert [s.largest_prime_power(n) for n in range(1, 11)] == [0, 2, 3, 4, 5, 5, 7, 8, 9, 9]
+        assert s.prime_powers == [2, 3, 4, 5, 7, 8, 9]
+        assert s.prime_powers is s.prime_powers  # no copy per access
 
     def test_limit_two(self):
         s = build_sieve(2)
-        assert s.is_prime(2)
+        assert s.primes() == [2] and s.prime_powers == [2]
 
     def test_primality_agrees_with_trial_division(self):
         s = build_sieve(2000)
+        primes = set(s.primes())
         table = prime_table(2000)
         for n in range(2, 2001):
-            assert s.is_prime(n) == is_prime(n) == bool(table[n])
+            assert (n in primes) == is_prime(n) == bool(table[n])
         assert prime_table(1) == bytearray(2)
 
     def test_prime_power_structure(self):
@@ -281,6 +349,20 @@ class TestSieve:
                         is_pp = True
                         break
             assert (s.largest_prime_power(n) == n) == is_pp
+            assert (n in s.prime_powers) == is_pp
+
+    @given(st.integers(min_value=2, max_value=5000))
+    @example(2)
+    @example(5000)
+    def test_matches_old_table(self, limit):
+        s = build_sieve(limit)
+        assert [0, *map(s.largest_prime_power, range(1, limit + 1))] == old_largest_prime_power_table(limit)
+
+    def test_matches_old_table_above_prime_table_cap(self):
+        limit = PRIME_TABLE_CAP + 2
+        s = build_sieve(limit)
+        assert [0, *map(s.largest_prime_power, range(1, limit + 1))] == old_largest_prime_power_table(limit)
+        assert s.prime_powers[-2:] == [1048573, PRIME_TABLE_CAP]
 
     def test_rejects_small_limit(self):
         with pytest.raises(ParameterError):
@@ -297,7 +379,8 @@ class TestSieve:
         with pytest.raises(ParameterError):
             s.largest_prime_power(51)
         with pytest.raises(ParameterError):
-            s.gap(1)
+            s.largest_prime_power(0)
+        assert s.largest_prime_power(1) == 0
 
 
 class TestRational:

@@ -4,10 +4,12 @@ identities, reports."""
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from secmin import arith, bands
-from secmin.arith import build_sieve, divides_binomial, is_prime
+from secmin.arith import PrimePowerSieve, build_sieve, is_prime, kummer_valuation
 from secmin.bands import (
+    GapSumReport,
     asymptotic_report,
     band_gcd,
     coprimality_band,
@@ -30,7 +32,7 @@ def gcd_of_row_band(n: int, b: int) -> int:
 def brute_prime_band(n: int, p: int) -> int:
     """Test oracle: scan b = n//2 downward for the first undivided binomial."""
     for b in range(n // 2, -1, -1):
-        if not divides_binomial(n, b, p):
+        if kummer_valuation(n, b, p) == 0:
             return b
     raise AssertionError("C(n,0) = 1 is never divisible")
 
@@ -45,6 +47,42 @@ def brute_largest_prime_power(n: int) -> int:
             if r == 1:
                 return q
     raise AssertionError(f"no prime power below {n}")
+
+
+def scan_quarter_bound(range_hi: int, sieve: PrimePowerSieve) -> int | None:
+    """Test oracle, the former scan of every n: the first n >= 30 with gap(n) > n/4."""
+    for n in range(30, range_hi + 1):
+        if 4 * (n - sieve.largest_prime_power(n)) > n:
+            return n
+    return None
+
+
+def scan_asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve) -> GapSumReport:
+    """Test oracle, the former scan of every n for asymptotic_report."""
+    total = 0
+    max_ratio = -1.0
+    argmax = 2
+    for n in range(2, range_hi + 1):
+        c = n - sieve.largest_prime_power(n)
+        total += c
+        r = c / n**exponent
+        if r > max_ratio:
+            max_ratio = r
+            argmax = n
+    return GapSumReport(range_hi, total, exponent, total / range_hi**exponent, max_ratio, argmax)
+
+
+def assert_report_matches_scan(range_hi: int, exponent: float, sieve: PrimePowerSieve) -> None:
+    """Equal reports, floats compared as exact bit patterns (0.0 != -0.0)."""
+
+    def bits(report: GapSumReport) -> tuple:
+        return tuple(v.hex() if isinstance(v, float) else v for v in vars(report).values())
+
+    got = asymptotic_report(range_hi, exponent, sieve)
+    assert bits(got) == bits(scan_asymptotic_report(range_hi, exponent, sieve))
+
+
+REPORT_EXPONENTS = [0.535, 23 / 18, 0.0, -0.5, 0.999, 1.0, 3.0, 40.0]
 
 
 class TestBandGcd:
@@ -88,8 +126,8 @@ class TestMinBand:
         # rows above PRIME_TABLE_CAP = 2^20 take a fresh table, not the shared one
         sieve = build_sieve(2**20 + 2)
         for n in (10030, 50894, 199999, 200000, 10**6, 2**20, 2**20 + 1, 2**20 + 2):
-            assert min_band(n) == sieve.gap(n), n
-        assert sieve.gap(10**6) == 17
+            assert min_band(n) == n - sieve.largest_prime_power(n), n
+        assert sieve.largest_prime_power(10**6) == 10**6 - 17
 
     def test_forms_no_binomial(self, monkeypatch):
         def forbidden(*args):
@@ -209,7 +247,7 @@ class TestVerifiers:
     def test_quarter_bound_small(self):
         sieve = build_sieve(2000)
         assert verify_quarter_bound(2000, sieve)
-        assert sieve.gap(32) == 0
+        assert sieve.largest_prime_power(32) == 32
 
     def test_prime_power_in_upper_quarter(self):
         # a prime power exists in [3n/4, n] for every 8 <= n <= 10^5; the
@@ -220,7 +258,7 @@ class TestVerifiers:
         count = [0] * (sieve.limit + 1)
         running = 0
         for n in range(sieve.limit + 1):
-            if n >= 2 and sieve.is_prime(n):
+            if is_prime(n):
                 running += 1
             count[n] = running
         prime_failures = [
@@ -229,6 +267,69 @@ class TestVerifiers:
             if count[n] - count[(3 * n + 3) // 4 - 1] < 1
         ]
         assert prime_failures == [10]
+
+
+class TestStretchScans:
+    """The stride scans over prime powers against the former scans of every n."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=30, max_value=2 * 10**4))
+    @example(30)
+    @example(31)
+    @example(2 * 10**4)
+    def test_quarter_bound_matches_scan(self, range_hi):
+        sieve = build_sieve(range_hi)
+        assert verify_quarter_bound(range_hi, sieve) == (scan_quarter_bound(range_hi, sieve) is None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=2 * 10**4),
+        st.one_of(st.sampled_from(REPORT_EXPONENTS), st.floats(min_value=-3, max_value=3)),
+    )
+    @example(2, 0.535)
+    @example(3, -0.5)
+    @example(2 * 10**4, 40.0)
+    @example(2 * 10**4, -3.0)
+    @example(10**4, 5e-324)
+    def test_asymptotic_report_matches_scan(self, range_hi, exponent):
+        sieve = build_sieve(range_hi)
+        assert_report_matches_scan(range_hi, exponent, sieve)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=200), st.integers(min_value=1, max_value=60))
+    @example(193, 56)  # drops 1009..1381, the fixed case below: first failure at n = 1330
+    def test_dropped_prime_powers_fail_at_the_same_place(self, start, count):
+        # a sieve missing prime powers (keeping 2): both scans read the same wrong gaps
+        full = build_sieve(3000)
+        pp = full.prime_powers
+        damaged = PrimePowerSieve(3000, full._is_prime, pp[:start] + pp[start + count :])
+        first_bad = scan_quarter_bound(3000, damaged)
+        assert verify_quarter_bound(3000, damaged) == (first_bad is None)
+        if first_bad is not None:
+            assert not verify_quarter_bound(first_bad, damaged)
+            assert first_bad == 30 or verify_quarter_bound(first_bad - 1, damaged)
+        for exponent in (0.535, -0.5):
+            assert_report_matches_scan(3000, exponent, damaged)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sets(st.integers(min_value=3, max_value=400)),
+        st.one_of(st.sampled_from(REPORT_EXPONENTS), st.floats(min_value=-3, max_value=3)),
+    )
+    def test_any_staircase_matches_scan(self, points, exponent):
+        # the skip bound holds for any sorted list of stretch starts, not only
+        # the prime powers' short stretches
+        sieve = PrimePowerSieve(400, bytearray(401), sorted(points | {2}))
+        assert_report_matches_scan(400, exponent, sieve)
+
+    def test_dropped_prime_powers_fixed_case(self):
+        # without the prime powers in (1000, 1400), n on [997, 1408] reads P = 997
+        # and 4*(n - 997) > n first at n = 1330
+        full = build_sieve(3000)
+        damaged = PrimePowerSieve(3000, full._is_prime, [q for q in full.prime_powers if not 1000 < q < 1400])
+        assert scan_quarter_bound(3000, damaged) == 1330
+        assert verify_quarter_bound(1329, damaged)
+        assert not verify_quarter_bound(1330, damaged)
 
 
 class TestAsymptoticReport:
@@ -247,6 +348,15 @@ class TestAsymptoticReport:
         for e in (0.535, 23 / 18):
             r = asymptotic_report(10**4, e)
             assert math.isfinite(r.ratio) and math.isfinite(r.max_ratio)
+
+    def test_rejects_exponents_outside_the_float_range(self):
+        for hi, e in [(1000, -200.0), (10**5, 80.0), (10, math.inf), (10, -math.inf), (10, math.nan)]:
+            with pytest.raises(ParameterError, match="exponent"):
+                asymptotic_report(hi, e)
+        # the largest accepted exponents at 10^5 keep every ratio finite
+        for e in (61.0, -61.0):
+            r = asymptotic_report(10**5, e)
+            assert math.isfinite(r.max_ratio) and r.max_ratio > 0
 
 
 class TestCoprimalityBand:

@@ -53,6 +53,16 @@ class TestBandsCommands:
         assert parse_kv(lines[1])["exponent"] == repr(23 / 18)
         assert lines[2] == "status=report"
 
+    @pytest.mark.parametrize(
+        "hi, exponent", [("1000", "-200"), ("100000", "80"), ("1000", "inf"), ("1000", "nan")]
+    )
+    def test_asymptotic_exponent_outside_float_range_exits_2(self, capsys, hi, exponent):
+        code = cli.main(["bands", "asymptotic", "--max", hi, "--exponent", exponent])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "status=fail\n"
+        assert captured.err.startswith("error=exponent ") and exponent in captured.err
+
 
 class TestSecantCommand:
     def test_both_modes_agree(self, capsys):
@@ -205,6 +215,15 @@ class TestContract:
         checks = [ln for ln in lines if ln.startswith("check=")]
         assert len(checks) == 11
         assert all(" status=pass " in ln for ln in checks)
+
+    def test_verify_all_timing_fields(self, capsys):
+        _, out = run(capsys, "verify-all", "--quick")
+        lines = out.splitlines()
+        names = [ln.split()[0].removeprefix("check=") for ln in lines if ln.startswith("check=")]
+        timing = {k: int(v) for k, v in parse_kv(lines[-1]).items()}
+        assert list(timing) == ["elapsed_ms", "sieve_ms"] + [f"{name}_ms" for name in names]
+        assert all(v >= 0 for v in timing.values())
+        assert sum(timing.values()) - timing["elapsed_ms"] <= timing["elapsed_ms"]
 
 
 @pytest.mark.parametrize("module", ["secmin", "secmin.cli"])

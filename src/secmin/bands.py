@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .arith import PrimePowerSieve, build_sieve, is_prime, largest_undivided, primes_covering
 from .errors import ParameterError, VerificationError
 
 
-@dataclass(frozen=True)
-class BandGcd:
+class BandGcd(NamedTuple):
     """Exact GCD of {C(n, m) : band_lo < m < band_hi}; gcd = 0 for an empty band."""
 
     n: int
@@ -40,8 +39,7 @@ class BandGcd:
         return self.band_lo + 1 >= self.band_hi
 
 
-@dataclass(frozen=True)
-class BandGapRecord:
+class BandGapRecord(NamedTuple):
     """b(n) and c(n) side by side; band is None when only the gap was computed."""
 
     n: int
@@ -50,8 +48,7 @@ class BandGapRecord:
     witness_prime_power: int
 
 
-@dataclass(frozen=True)
-class GapSumReport:
+class GapSumReport(NamedTuple):
     """Observed growth of the gap function up to n, scaled by n^exponent.
 
     ratio = (sum of gaps for 2 <= j <= n) / n^exponent; max_ratio is the
@@ -67,8 +64,7 @@ class GapSumReport:
     argmax: int
 
 
-@dataclass(frozen=True)
-class ExcessBound:
+class ExcessBound(NamedTuple):
     """Cap on the excess dimension of a linear subspace inside a secant variety.
 
     row is the Pascal row m+g-1-d whose band controls the bound, band its
@@ -191,7 +187,8 @@ def verify_quarter_bound(range_hi: int, sieve: PrimePowerSieve) -> bool:
 def asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve | None = None) -> GapSumReport:
     """Partial sums and pointwise maxima of the gap function, scaled by n^exponent.
 
-    |exponent|*ln(range_hi) <= 708 keeps every n**exponent a normal float.  Each
+    |exponent|*ln(range_hi) <= 708 keeps every n**exponent a normal float, and a
+    ratio that still overflows raises ParameterError as well.  Each
     stretch [P, E], w = E - P, adds w(w+1)/2 to the sum.  Its ratios
     (n - P)/n**exponent are at most w / min(P**exponent, E**exponent) for either
     sign; a stretch whose bound is below the running maximum by a relative 1e-9,
@@ -218,14 +215,10 @@ def asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve | N
             if r > max_ratio:
                 max_ratio = r
                 argmax = n
-    return GapSumReport(
-        n=range_hi,
-        partial_sum=total,
-        exponent=exponent,
-        ratio=total / range_hi**exponent,
-        max_ratio=max_ratio,
-        argmax=argmax,
-    )
+    ratio = total / range_hi**exponent
+    if not (math.isfinite(ratio) and math.isfinite(max_ratio)):
+        raise ParameterError(f"exponent {exponent!r} sends the ratios past the float range up to n={range_hi}")
+    return GapSumReport(range_hi, total, exponent, ratio, max_ratio, argmax)
 
 
 def coprimality_band(a: int, lo: int, hi: int) -> int:

@@ -11,23 +11,26 @@ inputs echoed in their reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import ParameterError
 from .secant import degree_formula
 
 
-@dataclass(frozen=True)
-class NumberFieldData:
-    """Degree, signature, and discriminant size of a number field."""
-
+class _FieldFields(NamedTuple):
     degree: int
     real_places: int
     complex_places: int
     log_disc: float
 
-    def __post_init__(self) -> None:
+
+class NumberFieldData(_FieldFields):
+    """Degree, signature, and discriminant size of a number field."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.degree < 1 or self.real_places < 0 or self.complex_places < 0:
             raise ParameterError("field degree must be >= 1 and places nonnegative")
         if self.real_places + 2 * self.complex_places != self.degree:
@@ -39,16 +42,13 @@ class NumberFieldData:
             raise ParameterError(f"log|disc| must be >= 0, got {self.log_disc}")
         if self.log_disc == 0 and self.degree > 1:
             raise ParameterError("only the rationals have trivial discriminant")
+        return self
 
 
 RATIONAL_FIELD = NumberFieldData(degree=1, real_places=1, complex_places=0, log_disc=0.0)
 
 
-@dataclass(frozen=True)
-class SurfaceData:
-    """Arithmetic-surface inputs: genus, fiber degree m of the line bundle, and
-    the intersection numbers l2 = L.L, l_omega = L.omega, omega2 = omega.omega."""
-
+class _SurfaceFields(NamedTuple):
     genus: int
     degree: int
     l2: float
@@ -56,13 +56,22 @@ class SurfaceData:
     omega2: float
     field: NumberFieldData
 
-    def __post_init__(self) -> None:
+
+class SurfaceData(_SurfaceFields):
+    """Arithmetic-surface inputs: genus, fiber degree m of the line bundle, and
+    the intersection numbers l2 = L.L, l_omega = L.omega, omega2 = omega.omega."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.genus < 2:
             raise ParameterError(f"genus must be >= 2, got {self.genus}")
         if self.degree < 1:
             raise ParameterError(f"fiber degree must be >= 1, got {self.degree}")
         if self.omega2 < 0:
             raise ParameterError(f"omega2 must be >= 0, got {self.omega2}")
+        return self
 
 
 def ball_volume_log(n: int) -> float:
@@ -212,30 +221,15 @@ def omega_mu_floor(genus: int, n: int, k: int, omega2: float, field: NumberField
     return -transference_constant(m + g - 2, field) + _mu_bracket(s, k, e_val) / (m * m)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """An evaluator result with the exact inputs needed to replay it."""
 
     kind: str
     value: float
     inputs: tuple[tuple[str, object], ...]
 
-    def line(self) -> str:
-        parts = [f"kind={self.kind}"]
-        parts += [f"{k}={_fmt(v)}" for k, v in self.inputs]
-        parts.append(f"value={self.value!r}")
-        return " ".join(parts)
-
     def replay(self) -> float:
         return evaluate(self.kind, dict(self.inputs))
-
-
-def _fmt(v: object) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _field_from(inputs: dict) -> NumberFieldData:

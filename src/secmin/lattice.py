@@ -15,10 +15,9 @@ comparisons in tests can therefore be made on the exact squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .bounds import RATIONAL_FIELD, NumberFieldData, ball_volume_log, transference_constant
 from .errors import ParameterError, ResourceLimitError, VerificationError
@@ -53,13 +52,17 @@ def _int_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class GramLattice:
-    """Full-rank integer lattice described by its positive-definite Gram matrix."""
-
+class _GramFields(NamedTuple):
     gram: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
+
+class GramLattice(_GramFields):
+    """Full-rank integer lattice described by its positive-definite Gram matrix."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         n = len(self.gram)
         if n < 1 or n > MAX_RANK:
             raise ParameterError(f"rank must be in [1, {MAX_RANK}], got {n}")
@@ -74,6 +77,7 @@ class GramLattice:
             minor = _int_det([[self.gram[i][j] for j in range(k)] for i in range(k)])
             if minor <= 0:
                 raise ParameterError(f"leading principal minor {k} is {minor}, not positive")
+        return self
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> "GramLattice":
@@ -83,21 +87,16 @@ class GramLattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    @cached_property
+    @property
     def det(self) -> int:
-        return _int_det([list(r) for r in self.gram])
+        return _int_det(self.gram)
 
     def norm2(self, v: tuple[int, ...]) -> int:
         g = self.gram
         return sum(v[i] * g[i][j] * v[j] for i in range(self.rank) for j in range(self.rank))
 
-    def pair(self, v: tuple[int, ...], w: tuple[int, ...]) -> int:
-        g = self.gram
-        return sum(v[i] * g[i][j] * w[j] for i in range(self.rank) for j in range(self.rank))
 
-
-@dataclass(frozen=True)
-class RationalGram:
+class RationalGram(NamedTuple):
     """Exact rational Gram matrix, used for dual lattices."""
 
     entries: tuple[tuple[Fraction, ...], ...]
@@ -107,8 +106,7 @@ class RationalGram:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class MinimaProfile:
+class MinimaProfile(NamedTuple):
     """Successive minima with independent witnesses, norms in ascending order.
 
     sq_minima are the exact squared norms; log_minima their half-logs.  The
@@ -126,22 +124,15 @@ class MinimaProfile:
         return self.log_minima[-1]
 
 
-@dataclass(frozen=True)
-class SublatticeHeightTable:
+class SublatticeHeightTable(NamedTuple):
     """Minimal squared covolumes of primitive rank-p sublattices, p = 1..rank."""
 
     lattice: GramLattice
     covol2: tuple[Fraction, ...]
     log_heights: tuple[float, ...]
 
-    def height(self, p: int) -> float:
-        if not 1 <= p <= self.lattice.rank:
-            raise ParameterError(f"p must be in [1, {self.lattice.rank}], got {p}")
-        return self.log_heights[p - 1]
 
-
-@dataclass(frozen=True)
-class TransferenceRow:
+class TransferenceRow(NamedTuple):
     """One rank p of the two-sided minima/dual-height comparison.
 
     upper = constant + lower + log det is the provable bound; printed_upper
@@ -168,8 +159,7 @@ class TransferenceRow:
         return self.minima_sum <= self.printed_upper + LOG_TOLERANCE
 
 
-@dataclass(frozen=True)
-class TransferenceReport:
+class TransferenceReport(NamedTuple):
     lattice: GramLattice
     constant: float
     rows: tuple[TransferenceRow, ...]
@@ -514,15 +504,19 @@ def verify_transference(
     return report
 
 
-@dataclass(frozen=True)
-class HomogeneousForm:
-    """Integer homogeneous polynomial, stored as sorted (exponents, coeff) pairs."""
-
+class _FormFields(NamedTuple):
     num_vars: int
     degree: int
     terms: tuple[tuple[tuple[int, ...], int], ...]
 
-    def __post_init__(self) -> None:
+
+class HomogeneousForm(_FormFields):
+    """Integer homogeneous polynomial, stored as sorted (exponents, coeff) pairs."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.num_vars < 1 or self.degree < 1:
             raise ParameterError("need at least one variable and degree >= 1")
         if not self.terms:
@@ -534,6 +528,7 @@ class HomogeneousForm:
                 raise ParameterError(f"term {exps} has degree {sum(exps)}, form has {self.degree}")
             if coeff == 0:
                 raise ParameterError("zero coefficients must be dropped")
+        return self
 
     @classmethod
     def from_terms(cls, num_vars: int, terms: dict[tuple[int, ...], int]) -> "HomogeneousForm":
@@ -558,8 +553,7 @@ def evaluate_form(f: HomogeneousForm, v: tuple[int, ...] | list[int]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class AvoidanceResult:
+class AvoidanceResult(NamedTuple):
     grid_vector: tuple[int, ...]
     lattice_vector: tuple[int, ...]
     value: int

@@ -17,15 +17,20 @@ Everything here is pure and immutable; parameter sweeps parallelize trivially.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .arith import binomial
 from .errors import ParameterError, VerificationError
 
 
-@dataclass(frozen=True)
-class SecantParams:
+class _SecantFields(NamedTuple):
+    genus: int
+    bundle_degree: int
+    index: int
+
+
+class SecantParams(_SecantFields):
     """Genus g, line-bundle degree m, and secant index d.
 
     The embedding uses the m + 2g - 2 sections of the twist by the canonical
@@ -34,17 +39,17 @@ class SecantParams:
     then has dimension 2d - 1) and m > 2.
     """
 
-    genus: int
-    bundle_degree: int
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.genus < 0:
             raise ParameterError(f"genus must be >= 0, got {self.genus}")
         if self.bundle_degree < 1:
             raise ParameterError(f"bundle degree must be >= 1, got {self.bundle_degree}")
         if self.index < 1:
             raise ParameterError(f"secant index must be >= 1, got {self.index}")
+        return self
 
     @property
     def sections(self) -> int:
@@ -56,10 +61,6 @@ class SecantParams:
         """The exponent A = m + g - 1 - d appearing in the Chern series (1+xt)^-A."""
         return self.sections - self.index
 
-    @property
-    def formula_applies(self) -> bool:
-        return 2 * self.index <= self.sections and self.bundle_degree > 2
-
     def require_valid(self) -> None:
         if self.bundle_degree <= 2:
             raise ParameterError(f"bundle degree must exceed 2, got {self.bundle_degree}")
@@ -69,8 +70,7 @@ class SecantParams:
             )
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(NamedTuple):
     """Monomials x^i theta^j survive only when i + j <= total_degree and j <= theta_cap."""
 
     total_degree: int

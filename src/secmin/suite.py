@@ -12,8 +12,8 @@ import math
 import operator
 import random
 import time
-from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from . import arith, bands, bounds, lattice, secant
 from .errors import ParameterError, VerificationError
@@ -54,20 +54,21 @@ QUICK = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
     elapsed_ms: int
 
 
-@dataclass(frozen=True)
 class SuiteRun:
     """run_all's checks in order (iterating yields them) and the time of the sieve they share."""
 
-    checks: list[CheckResult]
-    sieve_ms: int
+    __slots__ = ("checks", "sieve_ms")
+
+    def __init__(self, checks: list[CheckResult], sieve_ms: int) -> None:
+        self.checks = checks
+        self.sieve_ms = sieve_ms
 
     def __iter__(self):
         return iter(self.checks)

@@ -76,7 +76,7 @@ def assert_report_matches_scan(range_hi: int, exponent: float, sieve: PrimePower
     """Equal reports, floats compared as exact bit patterns (0.0 != -0.0)."""
 
     def bits(report: GapSumReport) -> tuple:
-        return tuple(v.hex() if isinstance(v, float) else v for v in vars(report).values())
+        return tuple(v.hex() if isinstance(v, float) else v for v in report._asdict().values())
 
     got = asymptotic_report(range_hi, exponent, sieve)
     assert bits(got) == bits(scan_asymptotic_report(range_hi, exponent, sieve))
@@ -353,10 +353,14 @@ class TestAsymptoticReport:
         for hi, e in [(1000, -200.0), (10**5, 80.0), (10, math.inf), (10, -math.inf), (10, math.nan)]:
             with pytest.raises(ParameterError, match="exponent"):
                 asymptotic_report(hi, e)
-        # the largest accepted exponents at 10^5 keep every ratio finite
-        for e in (61.0, -61.0):
+        # exponents inside that range whose partial-sum ratio still overflows
+        for hi, e in [(1000, -102.0), (10**5, -61.0)]:
+            with pytest.raises(ParameterError, match=f"exponent {e!r}"):
+                asymptotic_report(hi, e)
+        # the largest exponents at 10^5 that are accepted keep every ratio finite
+        for e in (61.0, -60.0):
             r = asymptotic_report(10**5, e)
-            assert math.isfinite(r.max_ratio) and r.max_ratio > 0
+            assert math.isfinite(r.ratio) and math.isfinite(r.max_ratio) and r.max_ratio > 0
 
 
 class TestCoprimalityBand:

@@ -301,12 +301,13 @@ class TestReports:
         again = make_report(
             "lambda", g=2, m=12, k=3, L2=7.0, Lw=1.5, w2=0.8, degK=1, r1=1, r2=0, log_disc=0.0
         )
-        assert again.value == r.value and again.line() == r.line()
+        assert again.value == r.value and again.inputs == r.inputs
 
     def test_line_has_fixed_key_order(self):
         r = make_report("constant", N=2, rank_shift=False, degK=1, r1=1, r2=0, log_disc=0.0)
-        assert r.line().startswith("kind=constant N=2 degK=1")
-        assert r.line().endswith(f"value={r.value!r}")
+        assert r.kind == "constant" and r.inputs[:2] == (("N", 2), ("degK", 1))
+        assert [k for k, _ in r.inputs] == ["N", "degK", "log_disc", "r1", "r2", "rank_shift"]
+        assert r.value == transference_constant(2, RATIONAL_FIELD)
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):

@@ -63,6 +63,16 @@ class TestBandsCommands:
         assert captured.out == "status=fail\n"
         assert captured.err.startswith("error=exponent ") and exponent in captured.err
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    @pytest.mark.parametrize("hi, exponent", [("1000", "-102"), ("100000", "-61")])
+    def test_asymptotic_ratio_overflow_exits_2(self, capsys, json_flag, hi, exponent):
+        # the exponents pass the n**exponent range check, but ratio would be inf
+        code = cli.main([*json_flag, "bands", "asymptotic", "--max", hi, "--exponent", exponent])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "status=fail\n"
+        assert captured.err.startswith(f"error=exponent {float(exponent)!r} ")
+
 
 class TestSecantCommand:
     def test_both_modes_agree(self, capsys):

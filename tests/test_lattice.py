@@ -1,6 +1,5 @@
 """Lattice-lab tests with independent box-enumeration oracles."""
 
-import dataclasses
 import math
 import random
 import time
@@ -116,6 +115,11 @@ def matrix_rank(rows):
     return rank
 
 
+def pair(lat: GramLattice, v, w) -> int:
+    g = lat.gram
+    return sum(v[i] * g[i][j] * w[j] for i in range(lat.rank) for j in range(lat.rank))
+
+
 def brute_min_covol2(lat: GramLattice, p: int):
     """Test oracle: minimal saturated covolume^2 over p-subsets of a box ball.
 
@@ -134,7 +138,7 @@ def brute_min_covol2(lat: GramLattice, p: int):
     vecs = box_vectors(lat, bound2)
     best = None
     for subset in combinations([v for _, v in vecs], p):
-        gram = [[lat.pair(a, b) for b in subset] for a in subset]
+        gram = [[pair(lat, a, b) for b in subset] for a in subset]
         d = int_det(gram)
         if d == 0:
             continue
@@ -221,6 +225,13 @@ class TestGramLattice:
         assert HEXAGONAL.det == 3
         assert DIAG14.det == 4
         assert GramLattice.from_rows([[2, 0, 1], [0, 3, 0], [1, 0, 2]]).det == 9
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_det_matches_bareiss_and_cofactors(self, data):
+        rank = data.draw(st.integers(min_value=1, max_value=6))
+        lat = data.draw(gram_lattices(rank, spread=3))
+        assert lat.det == lattice._int_det(lat.gram) == int_det(lat.gram)
 
 
 class TestSuccessiveMinima:
@@ -317,8 +328,8 @@ class TestSublatticeHeights:
         assert sublattice_heights(IDENTITY2).covol2 == (Fraction(1), Fraction(1))
         hexa = sublattice_heights(HEXAGONAL)
         assert hexa.covol2 == (Fraction(2), Fraction(3))
-        assert math.isclose(hexa.height(1), 0.5 * math.log(2), rel_tol=1e-12)
-        assert math.isclose(hexa.height(2), 0.5 * math.log(3), rel_tol=1e-12)
+        assert math.isclose(hexa.log_heights[0], 0.5 * math.log(2), rel_tol=1e-12)
+        assert math.isclose(hexa.log_heights[1], 0.5 * math.log(3), rel_tol=1e-12)
         assert sublattice_heights(DIAG14).covol2 == (Fraction(1), Fraction(4))
 
     def test_first_height_is_first_minimum(self):
@@ -362,7 +373,7 @@ class TestSublatticeHeights:
     def test_dependent_witnesses_detected(self, monkeypatch):
         z3 = GramLattice.from_rows([[1 if i == j else 0 for j in range(3)] for i in range(3)])
         profile = successive_minima(z3)
-        bad = dataclasses.replace(profile, witnesses=((1, 0, 0), (-1, 0, 0), (0, 0, 1)))
+        bad = profile._replace(witnesses=((1, 0, 0), (-1, 0, 0), (0, 0, 1)))
         monkeypatch.setattr(lattice, "successive_minima", lambda lat, budget: bad)
         with pytest.raises(VerificationError):
             sublattice_heights(z3)

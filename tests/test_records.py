@@ -1,0 +1,117 @@
+"""Result records: immutable NamedTuples, validated on every construction path."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from secmin import arith, bands, bounds, lattice, secant, suite
+from secmin.errors import ParameterError
+
+SRC = Path(__file__).parents[1] / "src"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+    code = "import sys, secmin.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def sample_records():
+    """One instance of every result record, built the way the package builds it."""
+    sieve = arith.build_sieve(100)
+    hexagonal = lattice.GramLattice.from_rows([[2, 1], [1, 2]])
+    minima = lattice.successive_minima(hexagonal)
+    transference = lattice.verify_transference(hexagonal)
+    form = lattice.HomogeneousForm.from_terms(2, {(1, 1): 1})
+    params = secant.SecantParams(1, 5, 2)
+    return [
+        bands.band_gcd(6, 0),
+        bands.prime_power_gap(10, sieve),
+        bands.asymptotic_report(100, 0.535, sieve),
+        bands.excess_dimension_bound(2, 7, 2),
+        bounds.RATIONAL_FIELD,
+        bounds.omega_power_surface(2, 1, 1.0, bounds.RATIONAL_FIELD),
+        bounds.make_report("constant", N=1, degK=1, r1=1, r2=0, log_disc=0.0),
+        hexagonal,
+        lattice.dual_lattice(hexagonal),
+        minima,
+        lattice.sublattice_heights(hexagonal),
+        transference.rows[0],
+        transference,
+        form,
+        lattice.avoid_hypersurface(form, minima),
+        params,
+        secant.Truncation(params.index, params.genus),
+        suite.CheckResult(name="curve-degree", ok=True, detail="", elapsed_ms=0),
+    ]
+
+
+@pytest.mark.parametrize("record", sample_records(), ids=lambda r: type(r).__name__)
+class TestImmutable:
+    def test_fields_cannot_be_assigned(self, record):
+        first = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, first, getattr(record, first))
+
+    def test_no_new_attributes(self, record):
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_is_a_tuple_of_its_fields(self, record):
+        assert record == tuple(getattr(record, name) for name in record._fields)
+
+
+def test_every_record_type_is_sampled():
+    sampled = {type(r) for r in sample_records()}
+    modules = (bands, bounds, lattice, secant, suite)
+    records = {
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, tuple)
+        and obj.__module__ == module.__name__ and not obj.__name__.startswith("_")
+    }
+    assert records == sampled
+
+
+FIELD = bounds.RATIONAL_FIELD
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: bounds.NumberFieldData(1, 0, 0, 0.0),  # r1 + 2 r2 != degree
+        lambda: bounds.NumberFieldData(degree=2, real_places=2, complex_places=0, log_disc=0.0),
+        lambda: bounds.NumberFieldData(1, 1, 0, -1.0),
+        lambda: bounds.SurfaceData(1, 12, 1.0, 0.0, 0.0, FIELD),
+        lambda: bounds.SurfaceData(genus=2, degree=0, l2=1.0, l_omega=0.0, omega2=0.0, field=FIELD),
+        lambda: bounds.SurfaceData(2, 12, 1.0, 0.0, -0.5, FIELD),
+        lambda: lattice.GramLattice(((1, 2), (2, 1))),  # det -3
+        lambda: lattice.GramLattice(gram=((1, 2), (3, 1))),  # not symmetric
+        lambda: lattice.GramLattice(()),
+        lambda: lattice.GramLattice(((1, 0), (0, 1.5))),
+        lambda: lattice.HomogeneousForm(2, 2, (((1, 0), 1),)),  # term of degree 1
+        lambda: lattice.HomogeneousForm(num_vars=2, degree=1, terms=()),
+        lambda: lattice.HomogeneousForm(2, 1, (((1, 0), 0),)),
+        lambda: secant.SecantParams(-1, 5, 1),
+        lambda: secant.SecantParams(genus=1, bundle_degree=0, index=1),
+        lambda: secant.SecantParams(1, 5, 0),
+    ],
+)
+def test_validated_records_reject_bad_fields(build):
+    with pytest.raises(ParameterError):
+        build()
+
+
+def test_validated_records_keep_their_type():
+    params = secant.SecantParams(bundle_degree=5, genus=1, index=2)
+    assert type(params) is secant.SecantParams and params == (1, 5, 2)
+    assert repr(params) == "SecantParams(genus=1, bundle_degree=5, index=2)"
+    genus, degree, index = params
+    assert (genus, degree, index) == (1, 5, 2)

@@ -106,15 +106,14 @@ def height_floor(s: SurfaceData) -> float:
     return g * s.l2 / (2 * m) - s.l_omega / 2 + m * s.omega2 / (8 * g)
 
 
-def _degree_term(genus: int, m: int, d: int) -> tuple[int, int]:
-    """Secant degree for log terms: the raw formula value and the value used.
+def _degree_term(genus: int, m: int, d: int) -> int:
+    """Secant degree for log terms, lifted to at least 1.
 
     The formula evaluates to 0 once the secant variety fills projective space;
     the degree of the full space is 1, and the log term needs a positive
-    argument, so 0 is lifted to 1.  Both numbers are reported.
+    argument, so 0 is lifted to 1.
     """
-    raw = 1 if d == 0 else degree_formula(genus, m, d)
-    return raw, max(raw, 1)
+    return max(degree_formula(genus, m, d), 1)
 
 
 def lambda_floor(s: SurfaceData, k: int, e_val: float | None = None) -> float:
@@ -131,7 +130,7 @@ def lambda_floor(s: SurfaceData, k: int, e_val: float | None = None) -> float:
         raise ParameterError(f"need m > 2k, got m={m}, k={k}")
     if e_val is None:
         e_val = height_floor(s)
-    _, dterm = _degree_term(g, m, k - 1)
+    dterm = _degree_term(g, m, k - 1)
     bracket = k * (s.l2 - 2 * m * e_val) + m * m * e_val - math.log(dterm * (m + g)) * deg
     return bracket / (m * m * deg) - 1
 
@@ -140,7 +139,7 @@ def _mu_bracket(s: SurfaceData, k: int, e_val: float) -> float:
     g, m, deg = s.genus, s.degree, s.field.degree
     log_sum = 0.0
     for j in range(1, k + 1):
-        _, dterm = _degree_term(g, m, j - 1)
+        dterm = _degree_term(g, m, j - 1)
         log_sum += math.log(dterm * (m + g))
     return (
         (k * (k + 1) / 2) * (s.l2 - 2 * m * e_val)
@@ -172,7 +171,7 @@ def top_lambda_floor(s: SurfaceData) -> tuple[int, float]:
     index = m - g - 1 if m % 2 == 1 else m - g
     if index < 1:
         raise ParameterError(f"index m-g-1 or m-g must be >= 1, got {index}")
-    _, dterm = _degree_term(g, m, index - 1)
+    dterm = _degree_term(g, m, index - 1)
     value = (s.l2 - math.log(dterm * (m + g)) * deg) / (2 * m * deg) - 1
     return index, value
 
@@ -206,7 +205,7 @@ def omega_lambda_floor(genus: int, n: int, k: int, omega2: float, field: NumberF
     if omega2 < 0:
         raise ParameterError(f"omega2 must be >= 0, got {omega2}")
     g, m = genus, 2 * (genus - 1) * n
-    _, dterm = _degree_term(g, m, k - 1)
+    dterm = _degree_term(g, m, k - 1)
     return (k + n) / (4 * g * (g - 1)) * (omega2 / field.degree) - math.log(dterm * (m + g)) / (m * m)
 
 

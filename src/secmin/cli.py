@@ -114,7 +114,7 @@ def cmd_secant(args) -> tuple[list[dict], str]:
     record: dict = {"g": args.g, "m": args.m, "d": args.d}
     status = "pass"
     if args.mode in ("closed", "both"):
-        record["closed"] = secant.degree_closed_form(p)
+        record["closed"] = secant.degree_formula(args.g, args.m, args.d)
     if args.mode in ("oracle", "both"):
         record["oracle"] = secant.degree_oracle(p)
     if args.mode == "both":

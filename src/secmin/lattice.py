@@ -3,13 +3,13 @@
 Exact successive minima by bounded enumeration on integer Bareiss pivots,
 whose per-level windows are exact integer square roots; exact rational dual
 Gram matrices as the integer adjugate over the determinant; minimal covolumes
-of primitive sublattices with a Minkowski-certified search radius; a two-sided
-transference check of minima against dual sublattice heights; and grid
-avoidance of hypersurfaces.
+of primitive sublattices as the shortest decomposable vectors of compound
+lattices; a two-sided transference check of minima against dual sublattice
+heights; and grid avoidance of hypersurfaces.
 
-Everything is exact except the final logarithms and the sublattice search
-radius: squared minima are integers, squared covolumes are rationals, and
-comparisons in tests can therefore be made on the exact squares.
+Everything is exact except the final logarithms: squared minima are integers,
+squared covolumes are rationals, and comparisons in tests can therefore be
+made on the exact squares.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .bounds import RATIONAL_FIELD, NumberFieldData, ball_volume_log, transference_constant
+from .bounds import RATIONAL_FIELD, NumberFieldData, transference_constant
 from .errors import ParameterError, ResourceLimitError, VerificationError
 
 MAX_RANK = 6
@@ -338,81 +338,60 @@ def _adjugate_lattice(lat: GramLattice) -> GramLattice:
     return GramLattice.from_rows(_checked_adjugate([list(r) for r in lat.gram], lat.det))
 
 
-def _saturated_covol2(lat: GramLattice, subset: list[tuple[int, ...]]) -> Fraction | None:
-    """Squared covolume of the saturation of the span of the given vectors.
+def _wedge_rank(omega: list[int] | tuple[int, ...], n: int, p: int) -> int:
+    """Rank of v -> v ^ omega on Z^n; omega's coordinates follow combinations(range(n), p).
 
-    det(M G M^T) over the squared index of the span inside its saturation,
-    the index being the gcd of the maximal minors of the coordinate matrix.
-    None when the vectors are dependent.
+    For nonzero omega the kernel has dimension at most p, with equality exactly
+    when omega = v_1 ^ ... ^ v_p is decomposable (the kernel is then the span
+    of the v_i); so omega is decomposable exactly when the rank is n - p.
     """
-    p = len(subset)
-    n = lat.rank
-    g = lat.gram
-    gv = [[sum(g[i][j] * v[j] for j in range(n)) for i in range(n)] for v in subset]
-    mgm = [[sum(subset[a][i] * gv[b][i] for i in range(n)) for b in range(p)] for a in range(p)]
-    d = _int_det(mgm)
-    if d == 0:
-        return None
-    idx = 0
-    for cols in combinations(range(n), p):
-        minor = _int_det([[v[c] for c in cols] for v in subset])
-        idx = math.gcd(idx, minor)
-    return Fraction(d, idx * idx)
+    position = {cols: k for k, cols in enumerate(combinations(range(n), p))}
+    wider = list(combinations(range(n), p + 1))
+    rows: list[list[int]] = []
+    return sum(
+        _extends_rank(rows, [
+            (-1) ** cols.index(i) * omega[position[tuple(c for c in cols if c != i)]] if i in cols else 0
+            for cols in wider
+        ])
+        for i in range(n)
+    )
 
 
 def _min_primitive_covol2(lat: GramLattice, p: int, minima: MinimaProfile, budget: int) -> Fraction:
-    """Minimal squared covolume over primitive rank-p sublattices, certified.
+    """Minimal squared covolume over primitive rank-p sublattices, by the compound lattice.
 
-    Start from the saturation of the first p minima witnesses (squared
-    covolume U).  Any sublattice at least as good has p independent vectors
-    of squared-norm product at most (2^p/B_p)^2 U (Minkowski's second theorem
-    on the sublattice, with all minima >= the lattice's first minimum), hence
-    its last one inside radius^2 (2^p/B_p)^2 U / lambda_1^(2(p-1)); saturating
-    independent p-subsets of that ball therefore reaches every candidate.
+    A basis M of a rank-p sublattice has Plucker coordinates omega (its p x p
+    minors), and det(M G M^T) = omega . C_p(G) . omega by Cauchy-Binet, with
+    C_p(G) the p-th compound of G; the sublattice is saturated exactly when
+    gcd(omega) = 1.  So the answer is the first decomposable vector in
+    (norm, coords) order of the compound lattice, inside the squared norm U of
+    the saturated span of the first p minima witnesses.  A decomposable k.omega
+    with k > 1 comes after omega, so no gcd filter is needed.
     """
-    u = _saturated_covol2(lat, list(minima.witnesses[:p]))
-    if u is None:
+    n = lat.rank
+    subsets = list(combinations(range(n), p))
+    witnesses = minima.witnesses[:p]
+    omega = [_int_det([[w[c] for c in cols] for w in witnesses]) for cols in subsets]
+    g = math.gcd(*omega)
+    if g == 0:
         raise VerificationError(f"the first {p} minima witnesses of {lat.gram} are dependent")
-    factor2 = (4.0**p) * math.exp(-2 * ball_volume_log(p))
-    lam1 = minima.sq_minima[0]
-    r2 = math.ceil(factor2 * u / lam1 ** (p - 1) * (1 + 1e-6))
-    vecs = short_vectors(lat.gram, r2, budget)
-    qs = [q2 for q2, _ in vecs]
-    vs = [v for _, v in vecs]
-    best = u
-    prod_cap = factor2 * float(best) * (1 + 1e-6)
-
-    idx: list[int] = []
-    examined = 0
-
-    def choose(start: int, prod: float) -> None:
-        nonlocal best, prod_cap, examined
-        if len(idx) == p:
-            examined += 1
-            if examined > budget:
-                raise ResourceLimitError(f"sublattice search budget {budget} exceeded")
-            cv = _saturated_covol2(lat, [vs[i] for i in idx])
-            if cv is not None and cv < best:
-                best = cv
-                prod_cap = factor2 * float(best) * (1 + 1e-6)
-            return
-        for i in range(start, len(vs)):
-            np = prod * float(qs[i])
-            if np > prod_cap:
-                return  # qs ascend, so later choices only grow
-            idx.append(i)
-            choose(i + 1, np)
-            idx.pop()
-
-    choose(0, 1.0)
-    return best
+    omega = [x // g for x in omega]
+    compound = [
+        [_int_det([[lat.gram[i][j] for j in cols] for i in rows]) for cols in subsets] for rows in subsets
+    ]
+    u = sum(a * c * b for a, row in zip(omega, compound) for c, b in zip(row, omega))
+    for q2, w in short_vectors(compound, u, budget):
+        if _wedge_rank(w, n, p) == n - p:
+            return Fraction(q2)
+    raise VerificationError(f"no decomposable vector of C_{p}({lat.gram}) within its witnesses' norm {u}")
 
 
 def sublattice_heights(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> SublatticeHeightTable:
     """Minimal log-covolumes of primitive sublattices of every rank p.
 
     p = 1 is the shortest vector, p = rank the full determinant; intermediate
-    ranks use the certified ball search.  Restricted to rank <= 4.
+    ranks take the shortest decomposable vector of the p-th compound lattice.
+    Restricted to rank <= 4.
     """
     n = lat.rank
     if n > HEIGHT_MAX_RANK:

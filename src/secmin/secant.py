@@ -97,10 +97,6 @@ class ChowElement:
     def unit(cls, trunc: Truncation) -> "ChowElement":
         return cls(trunc, {(0, 0): 1})
 
-    @classmethod
-    def monomial(cls, trunc: Truncation, i: int, j: int, c: int = 1) -> "ChowElement":
-        return cls(trunc, {(i, j): c})
-
     def coefficient(self, i: int, j: int) -> int:
         return self.coeffs.get((i, j), 0)
 
@@ -213,12 +209,6 @@ def degree_formula(genus: int, bundle_degree: int, index: int) -> int:
     return sum(binomial(m + g - 1 - d - a, d - a) * binomial(g, a) for a in range(min(d, g) + 1))
 
 
-def degree_closed_form(p: SecantParams) -> int:
-    """Secant-variety degree by the closed binomial sum, preconditions enforced."""
-    p.require_valid()
-    return degree_formula(p.genus, p.bundle_degree, p.index)
-
-
 def chern_series(p: SecantParams, trunc: Truncation | None = None) -> ChowSeries:
     """Total Chern series (1+xt)^(-A) exp(-t theta / (1+xt)) of the dual secant bundle.
 
@@ -267,12 +257,3 @@ def degree_oracle(p: SecantParams, pad: int = 0) -> int:
             f"push-forward of the top Segre class is not a nonnegative integer: {value}"
         )
     return value
-
-
-def restricted_segre(a: int, i: int) -> int:
-    """Coefficient C(a, i) of x^i in (1+xt)^a, the Segre series on a fixed fiber."""
-    if a < 1:
-        raise ParameterError(f"fiber exponent must be >= 1, got {a}")
-    if i < 0:
-        raise ParameterError(f"index must be >= 0, got {i}")
-    return binomial(a, i)

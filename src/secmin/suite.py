@@ -157,9 +157,8 @@ def check_secant_two_oracle(g_hi: int, d_hi: int, m_hi: int) -> str:
             for m in range(3, m_hi + 1):
                 if 2 * d > m + g - 1:
                     continue
-                p = secant.SecantParams(g, m, d)
-                closed = secant.degree_closed_form(p)
-                oracle = secant.degree_oracle(p)
+                closed = secant.degree_formula(g, m, d)
+                oracle = secant.degree_oracle(secant.SecantParams(g, m, d))
                 if closed != oracle:
                     raise VerificationError(f"degree mismatch at (g={g}, m={m}, d={d})")
                 if closed < 1:

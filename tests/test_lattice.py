@@ -151,6 +151,57 @@ def brute_min_covol2(lat: GramLattice, p: int):
     return best
 
 
+def saturated_covol2(lat: GramLattice, subset):
+    """Test oracle: squared covolume of the saturation of the span of the given vectors.
+
+    det(M G M^T) over the squared index of the span inside its saturation,
+    the index being the gcd of the maximal minors of the coordinate matrix.
+    None when the vectors are dependent.
+    """
+    p = len(subset)
+    d = int_det([[pair(lat, a, b) for b in subset] for a in subset])
+    if d == 0:
+        return None
+    idx = 0
+    for cols in combinations(range(lat.rank), p):
+        idx = math.gcd(idx, int_det([[v[c] for c in cols] for v in subset]))
+    return Fraction(d, idx * idx)
+
+
+def subset_search_covol2(lat: GramLattice, p: int):
+    """Test oracle: least saturated covolume^2 over independent p-subsets of a Minkowski ball.
+
+    Start from the saturation of the first p minima witnesses (squared
+    covolume U).  Any sublattice at least as good has p independent vectors
+    of squared-norm product at most (2^p/B_p)^2 U (Minkowski's second theorem
+    on the sublattice, with all minima >= the lattice's first minimum), hence
+    its last one inside radius^2 (2^p/B_p)^2 U / lambda_1^(2(p-1)); the
+    p-subsets of that ball, pruned by the same product bound, reach every
+    candidate.
+    """
+    minima = successive_minima(lat)
+    best = saturated_covol2(lat, minima.witnesses[:p])
+    factor2 = (4.0**p) * math.exp(-2 * ball_volume_log(p))
+    r2 = math.ceil(factor2 * best / minima.sq_minima[0] ** (p - 1) * (1 + 1e-6))
+    vecs = short_vectors(lat.gram, r2)
+
+    def choose(start, chosen, prod):
+        nonlocal best
+        if len(chosen) == p:
+            cv = saturated_covol2(lat, chosen)
+            if cv is not None and cv < best:
+                best = cv
+            return
+        for i in range(start, len(vecs)):
+            q2, v = vecs[i]
+            if prod * q2 > factor2 * float(best) * (1 + 1e-6):
+                return  # norms ascend, so later choices only grow
+            choose(i + 1, chosen + [v], prod * q2)
+
+    choose(0, [], 1.0)
+    return best
+
+
 def int_det(rows):
     n = len(rows)
     if n == 1:
@@ -364,6 +415,70 @@ class TestSublatticeHeights:
             n = lat.rank
             for p in range(1, n):
                 assert primal[p - 1] == dual2[n - p - 1] * lat.det
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_against_subset_search_oracle(self, data):
+        rank = data.draw(st.integers(min_value=3, max_value=4))
+        lat = data.draw(gram_lattices(rank, spread=data.draw(st.integers(min_value=1, max_value=4))))
+        primal = sublattice_heights(lat).covol2
+        dual2, _ = dual_heights(lat)
+        adj = lattice._adjugate_lattice(lat)
+        for p in range(2, rank):
+            assert primal[p - 1] == subset_search_covol2(lat, p)
+            assert dual2[p - 1] == subset_search_covol2(adj, p) / lat.det**p
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_wedge_rank_is_the_rank_four_plucker_relation(self, data):
+        # v -> v ^ omega on Z^4 has rank 2 exactly when omega is decomposable,
+        # and a nonzero 2-vector in rank 4 is decomposable exactly when it
+        # satisfies the one Plucker relation; otherwise the map is injective
+        entries = st.integers(min_value=-3, max_value=3)
+        if data.draw(st.booleans()):
+            a, b = data.draw(st.lists(st.lists(entries, min_size=4, max_size=4), min_size=2, max_size=2))
+            omega = [a[i] * b[j] - a[j] * b[i] for i, j in combinations(range(4), 2)]
+        else:
+            omega = data.draw(st.lists(entries, min_size=6, max_size=6))
+        assume(any(omega))
+        w01, w02, w03, w12, w13, w23 = omega
+        rank = lattice._wedge_rank(omega, 4, 2)
+        assert rank in (2, 4)
+        assert (rank == 2) == (w01 * w23 - w02 * w13 + w03 * w12 == 0)
+
+    def test_non_decomposable_compound_vector_is_skipped(self, monkeypatch):
+        # e0^e1 + e2^e3 planted first in C_2 of each rank-4 Gram must not count
+        # as a sublattice; every middle height here exceeds its planted norm 1
+        planted = (1, 0, 0, 0, 0, 1)
+        assert lattice._wedge_rank(planted, 4, 2) == 4
+        real = lattice.short_vectors
+        compound_calls = 0
+
+        def with_planted(gram, bound2, budget=lattice.DEFAULT_BUDGET):
+            nonlocal compound_calls
+            out = real(gram, bound2, budget)
+            if len(gram) == 6:
+                compound_calls += 1
+                out = [(1, planted)] + out
+            return out
+
+        lats = [
+            GramLattice.from_rows([[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 5, 0], [0, 0, 0, 7]]),
+            GramLattice.from_rows([[2 * x for x in row] for row in SKEWED4.gram]),
+        ]
+        expected = [(sublattice_heights(lat).covol2, dual_heights(lat)[0]) for lat in lats]
+        for lat, (primal, dual2) in zip(lats, expected):
+            assert primal[1] > 1 and dual2[1] * lat.det**2 > 1
+        monkeypatch.setattr(lattice, "short_vectors", with_planted)
+        for lat, want in zip(lats, expected):
+            assert (sublattice_heights(lat).covol2, dual_heights(lat)[0]) == want
+        assert compound_calls == 2 * len(lats)
+
+    def test_compound_search_budget(self):
+        minima = successive_minima(SKEWED4)
+        assert lattice._min_primitive_covol2(SKEWED4, 2, minima, lattice.DEFAULT_BUDGET) == 1
+        with pytest.raises(ResourceLimitError):
+            lattice._min_primitive_covol2(SKEWED4, 2, minima, budget=1)
 
     def test_rank_cap(self):
         lat = GramLattice.from_rows([[1 if i == j else 0 for j in range(5)] for i in range(5)])

@@ -67,7 +67,8 @@ def kummer_valuation(n: int, m: int, p: int) -> int:
     n mod p^k, so this counts those k >= 1; none qualifies once p^k > n.
     O(log_p n); never touches the binomial itself.
     """
-    if not is_prime(p):
+    t = _table  # read inline: is_prime only for p outside the table or not marked prime
+    if not (0 <= p < len(t) and t[p] or is_prime(p)):
         raise ParameterError(f"p must be prime, got {p}")
     if m < 0 or m > n:
         raise ParameterError(f"need 0 <= m <= n, got n={n}, m={m}")

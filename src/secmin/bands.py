@@ -11,6 +11,12 @@ theorem a prime p divides the whole band of width b exactly when
 prime_band(n, p) <= b, so min_band(n) is the least prime band over p <= n.
 band_gcd keeps the exact bignum GCD scan as the oracle the tests hold it to.
 
+Two facts leave only a few primes to try.  Let cap = n//2 and P the largest
+power of p that is <= n.  Lemma: prime_band(n, p) >= cap + 1 - P, since the
+numbers a'*P + (n mod P), a' up to n's top base-p digit, are digit-dominated
+by n (Lucas), spaced P apart, and the first is n mod P <= cap.  Leading-digit
+rule: when P > cap, n's top digit is 1 and prime_band(n, p) = n - P exactly.
+
 Range verifications are deterministic and embarrassingly parallel over n; the
 implementations are serial.
 """
@@ -100,20 +106,43 @@ def min_band(n: int) -> int:
 
     A prime p divides every C(n, m) with b < m < n - b exactly when
     prime_band(n, p) <= b (Kummer), so this is the least prime band over primes
-    p <= n and no binomial is formed; band_gcd is the exact oracle.  Primes are
-    taken from the top, so a prime row stops at its first prime.  The band at
-    b = n//2 is empty, hence satisfied vacuously, which bounds the answer.
+    p <= n and no binomial is formed; band_gcd is the exact oracle.
+
+    Only a few primes reach the digit kernel.  With cap = n//2 and P the
+    largest power of p that is <= n, prime_band(n, p) >= cap + 1 - P (the
+    lemma), and it equals n - P when P > cap (the leading-digit rule).  So each
+    prime in (cap, n] has band n - p, and the largest prime <= n, which Bertrand
+    puts there, sets best; a prime with P <= cap + 1 - best cannot beat it.
+    That leaves the primes in (max(sqrt n, cap + 1 - best), cap], where P = p,
+    and the primes <= sqrt n with P > cap + 1 - best.  Primality is read near
+    n, near n/2 and below sqrt n only, so a row above PRIME_TABLE_CAP sieves
+    no table up to n.
     """
     if n < 2:
         raise ParameterError(f"min_band needs n >= 2, got {n}")
     cap = n // 2
-    best = cap
-    for p in compress(range(n, 1, -1), primes_covering(n)[n:1:-1]):
-        b = largest_undivided(n, cap, p)
-        if b < best:
-            if b == 0:
-                return 0
-            best = b
+    q = n
+    while not is_prime(q):
+        q -= 1
+    best = n - q
+    if best == 0:
+        return 0
+    root = math.isqrt(n)
+    p = cap
+    while p > root and p > cap + 1 - best:
+        if is_prime(p):
+            best = min(best, largest_undivided(n, cap, p))
+        p -= 1
+    floor = cap + 1 - best
+    for p in compress(range(root + 1), primes_covering(root)[: root + 1]):
+        pk = p * p
+        while pk * p <= n:
+            pk *= p
+        if pk > floor:
+            b = n - pk if pk > cap else largest_undivided(n, cap, p)
+            if b < best:
+                best = b
+                floor = cap + 1 - b
     return best
 
 
@@ -190,9 +219,10 @@ def asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve | N
     |exponent|*ln(range_hi) <= 708 keeps every n**exponent a normal float, and a
     ratio that still overflows raises ParameterError as well.  Each
     stretch [P, E], w = E - P, adds w(w+1)/2 to the sum.  Its ratios
-    (n - P)/n**exponent are at most w / min(P**exponent, E**exponent) for either
-    sign; a stretch whose bound is below the running maximum by a relative 1e-9,
-    far above the few ulps of rounding, is skipped.  The rest are scanned per n
+    (n - P)/n**exponent are at most w over the smaller of P**exponent and
+    E**exponent, which is P**exponent for exponent >= 0 and E**exponent below;
+    a stretch whose bound is below the running maximum by a relative 1e-9, far
+    above the few ulps of rounding, is skipped.  The rest are scanned per n
     with the same expression and strict > as a scan of every n, so max_ratio and
     argmax are bit-identical to it.
     """
@@ -208,7 +238,7 @@ def asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve | N
     for p, end in _stretches(range_hi, 2, sieve):
         w = end - p
         total += w * (w + 1) // 2
-        if w / min(p**exponent, end**exponent) < max_ratio * (1 - 1e-9):
+        if w / (p if exponent >= 0 else end) ** exponent < max_ratio * (1 - 1e-9):
             continue
         for n in range(p, end + 1):
             r = (n - p) / n**exponent

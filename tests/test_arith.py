@@ -6,7 +6,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from secmin import arith, suite
 from secmin.arith import (
@@ -143,6 +143,38 @@ class TestKummerValuation:
         for base in (4, 1, 0, -3, PRIME_TABLE_CAP + 1):
             with pytest.raises(ParameterError):
                 kummer_valuation(5, 2, base)
+
+    @settings(deadline=None)
+    @given(
+        st.one_of(
+            st.sampled_from([-7, -1, 0, 1]),
+            st.integers(min_value=-3000, max_value=3000),
+            st.integers(min_value=PRIME_TABLE_CAP - 100, max_value=PRIME_TABLE_CAP + 100),
+            st.sampled_from([65537, 1048573, 1048583, 1048583 * 1048573, 10**12 + 37, 10**12 + 39]),
+        ),
+        st.sampled_from([0, 2, 64, 2000]),
+        st.integers(min_value=0, max_value=10**7),
+        st.integers(min_value=-3, max_value=10**7),
+    )
+    @example(-7, 64, 10, 3)
+    @example(-1, 64, 10, 3)
+    @example(-62, 64, 10, 3)  # unguarded, would read entry 65 - 62 = 3 of the table
+    @example(101, 64, 200, 3)  # a prime past the table's end
+    @example(99, 64, 200, 3)  # a composite past the table's end
+    @example(1048583, 2000, 10**7, 3)  # a prime past PRIME_TABLE_CAP
+    @example(5, 64, 10, -1)
+    @example(5, 64, 3, 4)
+    def test_validation_as_is_prime(self, p, table_limit, n, m):
+        # raises exactly when is_prime rejects p or m is outside 0..n, whatever
+        # the length of the shared table when the call is made
+        valid = is_prime(p) and 0 <= m <= n
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "_table", prime_table(table_limit) if table_limit else bytearray())
+            if valid:
+                assert kummer_valuation(n, m, p) == legendre_valuation(n, m, p)
+            else:
+                with pytest.raises(ParameterError):
+                    kummer_valuation(n, m, p)
 
 
 class TestDividesBinomial:

@@ -2,12 +2,21 @@
 identities, reports."""
 
 import math
+from itertools import compress
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from secmin import arith, bands
-from secmin.arith import PrimePowerSieve, build_sieve, is_prime, kummer_valuation
+from secmin.arith import (
+    PRIME_TABLE_CAP,
+    PrimePowerSieve,
+    build_sieve,
+    is_prime,
+    kummer_valuation,
+    largest_undivided,
+    primes_covering,
+)
 from secmin.bands import (
     GapSumReport,
     asymptotic_report,
@@ -35,6 +44,33 @@ def brute_prime_band(n: int, p: int) -> int:
         if kummer_valuation(n, b, p) == 0:
             return b
     raise AssertionError("C(n,0) = 1 is never divisible")
+
+
+def all_primes_min_band(n: int) -> int:
+    """Test oracle, the former min_band: the digit kernel on every prime <= n."""
+    cap = n // 2
+    best = cap
+    for p in compress(range(n, 1, -1), primes_covering(n)[n:1:-1]):
+        b = largest_undivided(n, cap, p)
+        if b < best:
+            if b == 0:
+                return 0
+            best = b
+    return best
+
+
+def largest_power(n: int, p: int) -> int:
+    """The largest power of p that is <= n, for 2 <= p <= n."""
+    q = p
+    while q * p <= n:
+        q *= p
+    return q
+
+
+def previous_prime(n: int) -> int:
+    while not is_prime(n):
+        n -= 1
+    return n
 
 
 def brute_largest_prime_power(n: int) -> int:
@@ -141,6 +177,57 @@ class TestMinBand:
         with pytest.raises(ParameterError):
             min_band(1)
 
+    def test_matches_all_primes_scan(self):
+        for n in range(2, 5001):
+            assert min_band(n) == all_primes_min_band(n), n
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=2 * 10**5))
+    @example(2 * 10**5)
+    @example(155921 + 85)  # inside the largest prime gap below 2*10^5
+    @example(65536)
+    @example(2 * 3**10)  # P = 3^10 is n//2 exactly
+    def test_matches_all_primes_scan_random(self, n):
+        assert min_band(n) == all_primes_min_band(n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=2 * 10**5))
+    @example(2)
+    @example(8)
+    @example(155921 + 85)
+    @example(10**5)
+    def test_kernel_calls_fewer_than_prime_gap(self, n):
+        # a kernel call needs a prime in (cap + 1 - best, cap] or a prime power
+        # there; best starts at n - q, so that window holds n - q - 1 integers
+        calls = []
+
+        def counting(row, cap, p):
+            calls.append(p)
+            return largest_undivided(row, cap, p)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bands, "largest_undivided", counting)
+            min_band(n)
+        assert len(calls) <= max(n - previous_prime(n) - 1, 0), calls
+
+    def test_above_table_cap_sieves_no_table_to_n(self, monkeypatch):
+        rows = [PRIME_TABLE_CAP + k for k in (1, 2, 12, 30)]
+        sieve = build_sieve(rows[-1])
+        prime_table = arith.prime_table
+        limits = []
+
+        def counting(limit):
+            limits.append(limit)
+            return prime_table(limit)
+
+        monkeypatch.setattr(arith, "_table", bytearray())
+        monkeypatch.setattr(arith, "prime_table", counting)
+        for n in rows:
+            assert min_band(n) == n - sieve.largest_prime_power(n), n
+        # primality is read near n by trial division, and near n/2 and below
+        # sqrt(n) from the shared table, which the first row grew once
+        assert len(limits) == 1 and limits[0] < rows[0], limits
+
     def test_equals_min_of_prime_bands(self):
         sieve = build_sieve(500)
         primes = sieve.primes()
@@ -216,6 +303,22 @@ class TestPrimeBand:
                 prime_band(10, base)
         with pytest.raises(ParameterError):
             prime_band(1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=2 * 10**5))
+    @example(2)
+    @example(3)
+    @example(4)
+    @example(2 * 10**5)
+    def test_lemma_and_leading_digit_rule(self, n):
+        # the pruning in min_band rests on these two, for every prime p <= n
+        cap = n // 2
+        for p in compress(range(n + 1), primes_covering(n)[: n + 1]):
+            b = prime_band(n, p)
+            q = largest_power(n, p)
+            assert b >= cap + 1 - q, (n, p)
+            if q > cap:
+                assert b == n - q, (n, p)
 
     def test_validates_once(self, monkeypatch):
         calls = []
@@ -316,6 +419,7 @@ class TestStretchScans:
         st.sets(st.integers(min_value=3, max_value=400)),
         st.one_of(st.sampled_from(REPORT_EXPONENTS), st.floats(min_value=-3, max_value=3)),
     )
+    @example({11, 258, 261}, -3.0)  # fails if the skip bound divides by the larger power
     def test_any_staircase_matches_scan(self, points, exponent):
         # the skip bound holds for any sorted list of stretch starts, not only
         # the prime powers' short stretches

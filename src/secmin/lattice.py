@@ -547,7 +547,9 @@ def avoid_hypersurface(f: HomogeneousForm, minima: MinimaProfile) -> AvoidanceRe
     Scans coefficients 0..degree in lexicographic order; a nonzero form of
     degree D cannot vanish on the whole grid (the tensor-Vandermonde
     determinant of the grid evaluations is nonzero), so exhaustion raises.
-    Also checks log|v| <= lambda_max + log(D * num_vars) in the lattice metric.
+    Also checks |v| <= lambda_max * D * num_vars in the lattice metric, as the
+    exact integer test q2(v) <= lambda_max^2 (D * num_vars)^2; the reported
+    log_norm and log_bound are its float logarithms.
     """
     rank = minima.lattice.rank
     if f.num_vars != rank:
@@ -563,15 +565,13 @@ def avoid_hypersurface(f: HomogeneousForm, minima: MinimaProfile) -> AvoidanceRe
                 sum(grid[i] * minima.witnesses[i][j] for i in range(rank)) for j in range(rank)
             )
             q2 = minima.lattice.norm2(vec)
-            log_norm = 0.5 * math.log(q2)
-            log_bound = minima.log_max + math.log(d * rank)
             return AvoidanceResult(
                 grid_vector=grid,
                 lattice_vector=vec,
                 value=value,
-                log_norm=log_norm,
-                log_bound=log_bound,
-                within_bound=log_norm <= log_bound + LOG_TOLERANCE,
+                log_norm=0.5 * math.log(q2),
+                log_bound=minima.log_max + math.log(d * rank),
+                within_bound=q2 <= minima.sq_minima[-1] * (d * rank) ** 2,
             )
     raise VerificationError("nonzero form vanished on the whole grid; impossible")
 

@@ -2,17 +2,20 @@
 
 Two independent routes to the same integer: a closed binomial sum, and the
 coefficient extraction of an inverse total Chern series (the Segre series)
-in a truncated Chow ring of the d-th symmetric product.  The ring is generated
-by the point-divisor class x and the theta-restriction class theta, with
-x^i theta^j = 0 once i + j exceeds the symmetric-product dimension or j
-exceeds the genus.  It is held in the divided-power basis
+in the Chow ring of the d-th symmetric product.  The ring is generated by the
+point-divisor class x and the theta-restriction class theta, with
+x^i theta^j = 0 once i + j exceeds the symmetric-product dimension d or j
+exceeds the genus g.  It is held in the divided-power basis
 theta^[j] = theta^j / j! (ACGH, Geometry of Algebraic Curves I, ch. VIII), in
 which the Chern series has integer coefficients, products obey
 theta^[a] theta^[b] = C(a+b, a) theta^[a+b], and the top-degree evaluation is
-the integer push-forward x^(d-a) theta^[a] |-> C(g, a); all arithmetic is on
-integers.
+the integer push-forward x^(d-j) theta^[j] |-> C(g, j).
 
-Everything here is pure and immutable; parameter sweeps parallelize trivially.
+Give the t^n coefficient of a series the degree n (deg t = -1).  The Chern
+series is then homogeneous, and so is its inverse, so the t^n coefficient has
+i + j = n and the cut i + j <= d removes nothing from rows n <= d; only j <= g
+shortens a row.  A series is therefore a list of graded integer rows: entry j
+of row n is the coefficient of x^(n-j) theta^[j], for j <= min(n, g).
 """
 
 from __future__ import annotations
@@ -70,133 +73,6 @@ class SecantParams(_SecantFields):
             )
 
 
-class Truncation(NamedTuple):
-    """Monomials x^i theta^j survive only when i + j <= total_degree and j <= theta_cap."""
-
-    total_degree: int
-    theta_cap: int
-
-
-class ChowElement:
-    """Integer polynomial in x and the divided powers theta^[j] modulo the truncation relations."""
-
-    __slots__ = ("trunc", "coeffs")
-
-    def __init__(self, trunc: Truncation, coeffs: dict[tuple[int, int], int] | None = None):
-        self.trunc = trunc
-        top, cap = trunc.total_degree, trunc.theta_cap
-        self.coeffs = {
-            (i, j): c for (i, j), c in (coeffs or {}).items() if c and j <= cap and i + j <= top
-        }
-
-    @classmethod
-    def zero(cls, trunc: Truncation) -> "ChowElement":
-        return cls(trunc)
-
-    @classmethod
-    def unit(cls, trunc: Truncation) -> "ChowElement":
-        return cls(trunc, {(0, 0): 1})
-
-    def coefficient(self, i: int, j: int) -> int:
-        return self.coeffs.get((i, j), 0)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.coeffs == {(0, 0): 1}
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "ChowElement") -> "ChowElement":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return ChowElement(self.trunc, out)
-
-    def __mul__(self, other: "ChowElement") -> "ChowElement":
-        """Termwise product with theta^[a] theta^[b] = C(a+b, a) theta^[a+b]."""
-        out: dict[tuple[int, int], int] = {}
-        for (i1, j1), c1 in self.coeffs.items():
-            for (i2, j2), c2 in other.coeffs.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + c1 * c2 * comb(key[1], j1)
-        return ChowElement(self.trunc, out)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ChowElement) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (i, j), c in sorted(self.coeffs.items()):
-            mono = "".join(filter(None, [f"x^{i}" if i else "", f"th^[{j}]" if j else ""])) or "1"
-            parts.append(f"{c}*{mono}")
-        return " + ".join(parts)
-
-
-class ChowSeries:
-    """Power series in t with ChowElement coefficients, truncated after t^total_degree."""
-
-    __slots__ = ("trunc", "terms")
-
-    def __init__(self, trunc: Truncation, terms: list[ChowElement]):
-        top = trunc.total_degree
-        padded = list(terms[: top + 1])
-        while len(padded) <= top:
-            padded.append(ChowElement.zero(trunc))
-        self.trunc = trunc
-        self.terms = tuple(padded)
-
-    @classmethod
-    def unit(cls, trunc: Truncation) -> "ChowSeries":
-        return cls(trunc, [ChowElement.unit(trunc)])
-
-    def coefficient(self, k: int) -> ChowElement:
-        return self.terms[k]
-
-    def __mul__(self, other: "ChowSeries") -> "ChowSeries":
-        top = self.trunc.total_degree
-        out = [ChowElement.zero(self.trunc) for _ in range(top + 1)]
-        for a, ca in enumerate(self.terms):
-            if ca.is_zero:
-                continue
-            for b in range(top + 1 - a):
-                cb = other.terms[b]
-                if not cb.is_zero:
-                    out[a + b] = out[a + b] + ca * cb
-        return ChowSeries(self.trunc, out)
-
-    def inverse(self) -> "ChowSeries":
-        """Truncated multiplicative inverse; the constant term must be the ring unit."""
-        if not self.terms[0].is_unit:
-            raise ParameterError("series inverse needs unit constant term")
-        top = self.trunc.total_degree
-        inv = [ChowElement.unit(self.trunc)]
-        for k in range(1, top + 1):
-            acc: dict[tuple[int, int], int] = {}  # minus the t^k coefficient of (self - 1) * inv
-            for j in range(1, k + 1):
-                cj = self.terms[j]
-                if not cj.is_zero:
-                    for key, c in (cj * inv[k - j]).coeffs.items():
-                        acc[key] = acc.get(key, 0) - c
-            inv.append(ChowElement(self.trunc, acc))
-        return ChowSeries(self.trunc, inv)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ChowSeries) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
-
-    def __repr__(self) -> str:
-        return " , ".join(f"t^{k}: {e!r}" for k, e in enumerate(self.terms))
-
-
 def degree_formula(genus: int, bundle_degree: int, index: int) -> int:
     """The raw closed sum for the secant degree, with no dimension-range check.
 
@@ -209,51 +85,59 @@ def degree_formula(genus: int, bundle_degree: int, index: int) -> int:
     return sum(binomial(m + g - 1 - d - a, d - a) * binomial(g, a) for a in range(min(d, g) + 1))
 
 
-def chern_series(p: SecantParams, trunc: Truncation | None = None) -> ChowSeries:
+def chern_series(p: SecantParams) -> list[list[int]]:
     """Total Chern series (1+xt)^(-A) exp(-t theta / (1+xt)) of the dual secant bundle.
 
     With theta^k / k! written as theta^[k] the exponential becomes
     sum_k (-1)^k t^k theta^[k] (1+xt)^(-k), so the series is
-    sum_k (-1)^k t^k theta^[k] (1+xt)^(-(A+k)); expanding each binomial, the
-    t^n coefficient is (-1)^n C(A+n-1, i) on x^i theta^[n-i], an integer.
+    sum_k (-1)^k t^k theta^[k] (1+xt)^(-(A+k)); expanding each binomial, row n
+    (the t^n coefficient) holds (-1)^n C(A+n-1, n-j) on x^(n-j) theta^[j].
     """
     p.require_valid()
-    if trunc is None:
-        trunc = Truncation(p.index, p.genus)
-    a = p.series_exponent
-    terms = [
-        ChowElement(trunc, {(n - k, k): (-1) ** n * comb(a + n - 1, n - k) for k in range(n + 1)})
-        for n in range(trunc.total_degree + 1)
+    a, g = p.series_exponent, p.genus
+    return [
+        [(-1) ** n * comb(a + n - 1, n - j) for j in range(min(n, g) + 1)]
+        for n in range(p.index + 1)
     ]
-    return ChowSeries(trunc, terms)
 
 
-def pushforward_degree(e: ChowElement, p: SecantParams) -> int:
-    """Evaluate a Chow element on the d-th symmetric product.
+def _times(u: list[int], v: list[int], genus: int) -> list[int]:
+    """Product of two graded rows, with theta^[a] theta^[b] = C(a+b, a) theta^[a+b]."""
+    out = [0] * min(len(u) + len(v) - 1, genus + 1)
+    for a, cu in enumerate(u):
+        if cu:
+            for b, cv in enumerate(v[: genus + 1 - a]):
+                out[a + b] += cu * cv * comb(a + b, a)
+    return out
 
-    Monomials x^i theta^[j] with i + j = d contribute coeff * C(g, j);
-    all others push forward to zero.
-    """
-    d, g = p.index, p.genus
-    return sum(c * comb(g, j) for (i, j), c in e.coeffs.items() if i + j == d)
+
+def series_inverse(series: list[list[int]], genus: int) -> list[list[int]]:
+    """Inverse of a graded series whose row 0 is [1], term by term on integers."""
+    if series[0] != [1]:
+        raise ParameterError("series inverse needs unit constant term")
+    inv = [[1]]
+    for k in range(1, len(series)):
+        acc = [0] * (min(k, genus) + 1)  # minus the t^k coefficient of (series - 1) * inv
+        for j in range(1, k + 1):
+            for b, c in enumerate(_times(series[j], inv[k - j], genus)):
+                acc[b] -= c
+        inv.append(acc)
+    return inv
 
 
-def degree_oracle(p: SecantParams, pad: int = 0) -> int:
+def pushforward_degree(row: list[int], p: SecantParams) -> int:
+    """Evaluate a degree-d row on the d-th symmetric product: x^(d-j) theta^[j] |-> C(g, j)."""
+    return sum(c * comb(p.genus, j) for j, c in enumerate(row))
+
+
+def degree_oracle(p: SecantParams) -> int:
     """Secant-variety degree via the Segre series, independent of the closed sum.
 
-    Inverts the Chern series term by term, extracts the t^d coefficient, and
-    pushes it forward; pad widens the truncation to exercise soundness.  A
-    push-forward that is not a nonnegative integer means the series arithmetic
-    is broken.
+    Inverts the Chern series term by term, takes row d and pushes it forward.
+    A negative push-forward means the series arithmetic is broken.
     """
     p.require_valid()
-    if pad < 0:
-        raise ParameterError(f"pad must be >= 0, got {pad}")
-    trunc = Truncation(p.index + pad, p.genus)
-    s = chern_series(p, trunc).inverse()
-    value = pushforward_degree(s.coefficient(p.index), p)
-    if not isinstance(value, int) or value < 0:
-        raise VerificationError(
-            f"push-forward of the top Segre class is not a nonnegative integer: {value}"
-        )
+    value = pushforward_degree(series_inverse(chern_series(p), p.genus)[p.index], p)
+    if value < 0:
+        raise VerificationError(f"push-forward of the top Segre class is negative: {value}")
     return value

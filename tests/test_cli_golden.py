@@ -38,6 +38,26 @@ COMMANDS = {
         ]
         for gram in GRAMS
     },
+    "bands-single-n2310": ["bands", "single", "--n", "2310"],
+    "bands-verify-max200": ["bands", "verify", "--max", "200"],
+    "bands-asymptotic-max10000": ["bands", "asymptotic", "--max", "10000"],
+    **{
+        f"bounds-{name}": ["bounds", *argv.split()]
+        for name, argv in {
+            "constant": "constant --N 1 --field Q",
+            "height": "height --g 2 --m 2 --L2 1.0 --Lw 0.5 --w2 0.25",
+            "lambda": "lambda --g 2 --m 12 --k 3 --L2 7.0 --Lw 1.5 --w2 0.8",
+            "mu": "mu --g 2 --m 12 --k 3 --L2 7.0 --Lw 1.5 --w2 0.8",
+            "top-odd": "top --g 2 --m 9 --L2 7.0 --Lw 1.5 --w2 0.8",
+            "top-even": "top --g 2 --m 10 --L2 7.0 --Lw 1.5 --w2 0.8",
+            "omega-lambda": "omega-lambda --g 3 --n 2 --k 1 --w2 1.5",
+            "omega-mu": "omega-mu --g 3 --n 2 --k 1 --w2 1.5",
+        }.items()
+    },
+    **{
+        f"secant-g2-m8-d3-{mode}": ["secant", "--g", "2", "--m", "8", "--d", "3", "--mode", mode]
+        for mode in ["oracle", "closed"]
+    },
 }
 
 

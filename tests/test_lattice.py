@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from secmin.bounds import NumberFieldData, ball_volume_log
-from secmin import lattice
+from secmin import lattice, suite
 from secmin.errors import ParameterError, ResourceLimitError, VerificationError
 from secmin.lattice import (
     GramLattice,
@@ -630,6 +630,28 @@ class TestAvoidHypersurface:
         f = HomogeneousForm.from_terms(3, {(1, 1, 1): 1})
         with pytest.raises(ParameterError):
             avoid_hypersurface(f, successive_minima(IDENTITY2))
+
+    def test_within_bound_is_the_integer_comparison(self):
+        # the full suite's draws: within_bound is q2(v) <= lambda_max^2 (D n)^2 exactly
+        rng = random.Random(suite.SEED_FORMS)
+        for i in range(200):
+            rank, degree = 2 + (i % 2), 1 + (i % 3)
+            form = suite.random_form(rng, rank, degree)
+            minima = successive_minima(suite.random_gram(rng, rank))
+            res = avoid_hypersurface(form, minima)
+            q2 = minima.lattice.norm2(res.lattice_vector)
+            assert res.within_bound == (q2 <= minima.sq_minima[-1] * (degree * rank) ** 2)
+            assert res.within_bound == (res.log_norm <= res.log_bound + lattice.LOG_TOLERANCE)
+
+    def test_within_bound_at_and_past_equality(self):
+        # the grid bound |v| <= lambda_max * D * n is tight only for parallel
+        # witnesses, so hand-made profiles put q2 on and just past the bound
+        f = HomogeneousForm.from_terms(2, {(1, 0): 1})  # first off the zero set at grid (1, 0)
+        for side, within in [(2, True), (3, False)]:
+            prof = lattice.MinimaProfile(IDENTITY2, (1, 1), (0.0, 0.0), ((side, 0), (0, side)))
+            res = avoid_hypersurface(f, prof)
+            assert res.lattice_vector == (side, 0)
+            assert res.within_bound is within  # q2 = side^2 against 1 * (1 * 2)^2 = 4
 
 
 class TestFileFormats:

@@ -29,7 +29,6 @@ def sample_records():
     minima = lattice.successive_minima(hexagonal)
     transference = lattice.verify_transference(hexagonal)
     form = lattice.HomogeneousForm.from_terms(2, {(1, 1): 1})
-    params = secant.SecantParams(1, 5, 2)
     return [
         bands.band_gcd(6, 0),
         bands.prime_power_gap(10, sieve),
@@ -46,8 +45,7 @@ def sample_records():
         transference,
         form,
         lattice.avoid_hypersurface(form, minima),
-        params,
-        secant.Truncation(params.index, params.genus),
+        secant.SecantParams(1, 5, 2),
         suite.CheckResult(name="curve-degree", ok=True, detail="", elapsed_ms=0),
     ]
 

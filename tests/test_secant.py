@@ -10,14 +10,13 @@ from secmin import secant, suite
 from secmin.arith import binomial
 from secmin.errors import ParameterError, VerificationError
 from secmin.secant import (
-    ChowElement,
-    ChowSeries,
     SecantParams,
-    Truncation,
+    _times,
     chern_series,
     degree_formula,
     degree_oracle,
     pushforward_degree,
+    series_inverse,
 )
 
 
@@ -80,145 +79,152 @@ class TestClosedForm:
             SecantParams(-1, 5, 1)
 
 
+def monomial(degree: int, j: int, c: int, genus: int) -> list[int]:
+    """The graded row of c x^(degree-j) theta^[j]."""
+    row = [0] * (min(degree, genus) + 1)
+    row[j] = c
+    return row
+
+
+def unit_series(top: int, genus: int) -> list[list[int]]:
+    return [monomial(n, 0, int(n == 0), genus) for n in range(top + 1)]
+
+
+def series_product(u: list[list[int]], v: list[list[int]], genus: int) -> list[list[int]]:
+    """Test-local product of two graded series of the same length, on _times."""
+    out = [[0] * (min(n, genus) + 1) for n in range(len(u))]
+    for a, row in enumerate(u):
+        for b in range(len(u) - a):
+            for j, c in enumerate(_times(row, v[b], genus)):
+                out[a + b][j] += c
+    return out
+
+
 class TestChernSeries:
     def test_linear_coefficient(self):
         p = SecantParams(3, 9, 2)
-        c = chern_series(p)
-        t1 = c.coefficient(1)
-        a = p.series_exponent
-        assert t1.coefficient(1, 0) == -a
-        assert t1.coefficient(0, 1) == -1
-        assert len(t1.coeffs) == 2
+        assert chern_series(p)[1] == [-p.series_exponent, -1]
 
     def test_theta_free_part_is_binomial_series(self):
         p = SecantParams(2, 11, 4)
         c = chern_series(p)
         a = p.series_exponent
         for i in range(5):
-            assert c.coefficient(i).coefficient(i, 0) == (-1) ** i * comb(a + i - 1, i)
+            assert c[i][0] == (-1) ** i * comb(a + i - 1, i)
 
     def test_genus_zero_has_no_theta(self):
         p = SecantParams(0, 9, 3)
         c = chern_series(p)
         a = p.series_exponent
         for i in range(4):
-            term = c.coefficient(i)
-            assert set(term.coeffs) <= {(i, 0)}
-            assert term.coefficient(i, 0) == (-1) ** i * comb(a + i - 1, i)
+            assert c[i] == [(-1) ** i * comb(a + i - 1, i)]
 
     def test_constant_term_is_unit(self):
-        assert chern_series(SecantParams(4, 12, 3)).coefficient(0).is_unit
+        assert chern_series(SecantParams(4, 12, 3))[0] == [1]
 
     def test_divided_powers_of_the_fraction_series(self):
         # coefficient c of x^i theta^j in the power basis is j! c on x^i theta^[j]
-        for g, m, d, pad in [(0, 9, 3, 0), (2, 11, 4, 1), (5, 12, 5, 2), (6, 40, 6, 0)]:
+        for g, m, d in [(0, 9, 3), (2, 11, 5), (5, 12, 7), (6, 40, 6)]:
             p = SecantParams(g, m, d)
-            c = chern_series(p, Truncation(d + pad, g))
-            old = power_basis_chern(p.series_exponent, d + pad, g)
-            new = {(n, i, j): v for n, e in enumerate(c.terms) for (i, j), v in e.coeffs.items()}
+            old = power_basis_chern(p.series_exponent, d, g)
+            new = {(n, n - j, j): v for n, row in enumerate(chern_series(p)) for j, v in enumerate(row) if v}
             assert new == {key: v * factorial(key[2]) for key, v in old.items()}
 
 
 class TestDividedPowers:
     def test_product_rule(self):
-        trunc = Truncation(9, 6)
         for a in range(7):
             for b in range(7):
-                prod = ChowElement(trunc, {(1, a): 1}) * ChowElement(trunc, {(2, b): 3})
+                prod = _times(monomial(1 + a, a, 1, 6), monomial(2 + b, b, 3, 6), 6)
                 if a + b <= 6:
-                    assert prod == ChowElement(trunc, {(3, a + b): 3 * comb(a + b, a)})
+                    assert prod == monomial(3 + a + b, a + b, 3 * comb(a + b, a), 6)
                 else:
-                    assert prod.is_zero
+                    assert prod == [0] * 7
 
     def test_theta_power_is_factorial_times_divided_power(self):
-        trunc = Truncation(6, 5)
-        theta = ChowElement(trunc, {(0, 1): 1})
-        power = ChowElement.unit(trunc)
+        power = [1]
         for k in range(1, 7):
-            power = power * theta
-            assert power == ChowElement(trunc, {(0, k): factorial(k)})  # zero once k > 5
+            power = _times(power, [0, 1], 5)
+            if k <= 5:
+                assert power == monomial(k, k, factorial(k), 5)
+            else:
+                assert power == [0] * 6
 
 
 class TestSegreSeries:
     def test_inverse_of_unit(self):
-        trunc = Truncation(4, 2)
-        assert ChowSeries.unit(trunc).inverse() == ChowSeries.unit(trunc)
+        assert series_inverse(unit_series(4, 2), 2) == unit_series(4, 2)
 
     def test_inverse_of_one_plus_xt(self):
-        trunc = Truncation(5, 3)
-        terms = [ChowElement.unit(trunc), ChowElement(trunc, {(1, 0): 1})]
-        inv = ChowSeries(trunc, terms).inverse()
+        series = unit_series(5, 3)
+        series[1] = [1, 0]
+        inv = series_inverse(series, 3)
         for i in range(6):
-            assert inv.coefficient(i).coefficient(i, 0) == (-1) ** i
+            assert inv[i] == monomial(i, 0, (-1) ** i, 3)
 
     def test_product_with_inverse_is_unit(self):
         p = SecantParams(3, 10, 4)
         c = chern_series(p)
-        assert c.inverse() * c == ChowSeries.unit(Truncation(4, 3))
+        assert series_product(series_inverse(c, 3), c, 3) == unit_series(4, 3)
 
     def test_rejects_non_unit_constant(self):
-        trunc = Truncation(3, 1)
-        series = ChowSeries(trunc, [ChowElement(trunc, {(0, 0): 2})])
         with pytest.raises(ParameterError):
-            series.inverse()
+            series_inverse([[2], [0, 0]], 1)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_random_series_inverse_contract(self, data):
         top = data.draw(st.integers(min_value=1, max_value=5))
-        trunc = Truncation(top, data.draw(st.integers(min_value=0, max_value=top)))
-        terms = [ChowElement.unit(trunc)]
-        for _ in range(top):
-            coeffs = {}
-            for i in range(top + 1):
-                for j in range(top + 1 - i):
-                    if data.draw(st.booleans()):
-                        coeffs[(i, j)] = data.draw(st.integers(min_value=-50, max_value=50))
-            terms.append(ChowElement(trunc, coeffs))
-        series = ChowSeries(trunc, terms)
-        assert series.inverse() * series == ChowSeries.unit(trunc)
-        assert all(isinstance(c, int) for e in series.inverse().terms for c in e.coeffs.values())
+        genus = data.draw(st.integers(min_value=0, max_value=top))
+        entries = st.integers(min_value=-50, max_value=50)
+        series = [[1]] + [
+            data.draw(st.lists(entries, min_size=min(n, genus) + 1, max_size=min(n, genus) + 1))
+            for n in range(1, top + 1)
+        ]
+        inv = series_inverse(series, genus)
+        assert series_product(inv, series, genus) == unit_series(top, genus)
+        assert series_product(series, inv, genus) == unit_series(top, genus)
+        assert all(type(c) is int for row in inv for c in row)
 
 
 class TestPushforward:
     def test_x_power_is_one(self):
         for g, d in [(0, 3), (2, 2), (5, 4)]:
-            p = SecantParams(g, 12, d)
-            e = ChowElement(Truncation(d, g), {(d, 0): 1})
-            assert pushforward_degree(e, p) == 1
+            assert pushforward_degree(monomial(d, 0, 1, g), SecantParams(g, 12, d)) == 1
 
     def test_theta_power_full_genus(self):
         g = 3
         p = SecantParams(g, 12, g)
-        e = ChowElement(Truncation(g, g), {(0, g): 1})  # theta^[g] = theta^g / g!
-        assert pushforward_degree(e, p) == 1
+        assert pushforward_degree(monomial(g, g, 1, g), p) == 1  # theta^[g] = theta^g / g!
 
     def test_mixed_monomial(self):
         p = SecantParams(3, 12, 2)
-        e = ChowElement(Truncation(2, 3), {(1, 1): 1})
-        assert pushforward_degree(e, p) == comb(3, 1)  # 3
+        assert pushforward_degree(monomial(2, 1, 1, 3), p) == comb(3, 1)  # 3
 
     def test_divided_power_evaluation(self):
         for g, d in [(0, 2), (3, 5), (6, 6), (4, 2)]:
             p = SecantParams(g, 40, d)
-            trunc = Truncation(d, g)
             for a in range(min(d, g) + 1):
-                assert pushforward_degree(ChowElement(trunc, {(d - a, a): 5}), p) == 5 * comb(g, a)
+                assert pushforward_degree(monomial(d, a, 5, g), p) == 5 * comb(g, a)
 
     def test_off_degree_contributes_zero(self):
+        # theta^[j] vanishes for j > g, and C(g, j) = 0 sends it to zero as well
         p = SecantParams(2, 12, 3)
-        e = ChowElement(Truncation(3, 2), {(1, 1): 7})
-        assert pushforward_degree(e, p) == 0
+        assert pushforward_degree([0, 0, 0, 7], p) == 0
+        assert pushforward_degree([1, 1, 1, 7], p) == pushforward_degree([1, 1, 1], p) == 1 + 2 + 1
 
 
 class TestDegreeOracle:
     def test_matches_closed_form_small(self):
-        for g in range(0, 4):
-            for d in range(1, 5):
-                for m in range(3, 15):
+        checked = 0
+        for g in range(0, 9):
+            for d in range(1, 9):
+                for m in range(3, 61):
                     if 2 * d <= m + g - 1:
                         p = SecantParams(g, m, d)
                         assert degree_oracle(p) == degree_formula(g, m, d)
+                        checked += 1
+        assert checked == 3890
 
     def test_genus_zero_closed_form(self):
         for m in range(4, 20):
@@ -231,9 +237,12 @@ class TestDegreeOracle:
                 assert degree_oracle(SecantParams(g, m, 1)) == m + 2 * g - 2
 
     def test_truncation_padding_is_sound(self):
-        for g, m, d in [(2, 9, 3), (0, 11, 4), (4, 13, 2)]:
-            p = SecantParams(g, m, d)
-            assert degree_oracle(p, pad=2) == degree_oracle(p)
+        # by homogeneity rows past k never reach the first k rows of the inverse
+        for g, m, d in [(2, 9, 3), (0, 11, 4), (4, 13, 2), (3, 16, 6)]:
+            s = chern_series(SecantParams(g, m, d))
+            inv = series_inverse(s, g)
+            for k in range(1, d + 2):
+                assert inv[:k] == series_inverse(s[:k], g)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -244,7 +253,10 @@ class TestDegreeOracle:
     )
     def test_padded_oracle_matches_closed_sum(self, g, d, m, pad):
         assume(2 * d <= m + g - 1)
-        assert degree_oracle(SecantParams(g, m, d), pad=pad) == closed_sum_oracle(g, m, d)
+        assert degree_oracle(SecantParams(g, m, d)) == closed_sum_oracle(g, m, d)
+        s = chern_series(SecantParams(g, m, d))
+        k = max(1, d + 1 - pad)
+        assert series_inverse(s, g)[:k] == series_inverse(s[:k], g)
 
     def test_non_integral_pushforward_detected(self, monkeypatch):
         # integer kernels cannot yield a fraction, so corrupt the x^2 coefficient
@@ -252,12 +264,11 @@ class TestDegreeOracle:
         real = secant.chern_series
 
         def corrupted(bump):
-            def patched(p, trunc=None):
-                c = real(p, trunc)
-                if len(c.terms) < 3:
-                    return c
-                bad = c.terms[2] + ChowElement(c.trunc, {(2, 0): bump})
-                return ChowSeries(c.trunc, [*c.terms[:2], bad, *c.terms[3:]])
+            def patched(p):
+                c = real(p)
+                if len(c) >= 3:
+                    c[2][0] += bump
+                return c
 
             return patched
 

@@ -65,7 +65,8 @@ def kummer_valuation(n: int, m: int, p: int) -> int:
 
     Adding m and n-m carries out of digit k-1 exactly when m mod p^k exceeds
     n mod p^k, so this counts those k >= 1; none qualifies once p^k > n.
-    O(log_p n); never touches the binomial itself.
+    O(log_p n); never touches the binomial itself.  Only the tests and the
+    bench's pascal-rows workload call it; the suite goes through carry_row.
     """
     t = _table  # read inline: is_prime only for p outside the table or not marked prime
     if not (0 <= p < len(t) and t[p] or is_prime(p)):

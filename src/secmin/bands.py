@@ -70,21 +70,6 @@ class GapSumReport(NamedTuple):
     argmax: int
 
 
-class ExcessBound(NamedTuple):
-    """Cap on the excess dimension of a linear subspace inside a secant variety.
-
-    row is the Pascal row m+g-1-d whose band controls the bound, band its
-    min_band value.  When the hypothesis band <= m+2g-1-2d fails nothing is
-    concluded (max_excess None); when it holds, max_excess = band - 1, with
-    None again for band = 0 since then no positive excess is allowed.
-    """
-
-    row: int
-    band: int
-    hypothesis_holds: bool
-    max_excess: int | None
-
-
 def band_gcd(n: int, b: int) -> BandGcd:
     """Exact GCD of the binomials C(n, m) over the open band b < m < n - b.
 
@@ -96,9 +81,15 @@ def band_gcd(n: int, b: int) -> BandGcd:
         raise ParameterError(f"band_gcd needs n >= 2, got {n}")
     if b < 0:
         raise ParameterError(f"band start must be >= 0, got {b}")
-    if b + 1 > n - b - 1:  # empty band
-        return BandGcd(n, b, n - b, 0)
-    return BandGcd(n, b, n - b, coprimality_band(n, b + 1, n // 2))
+    g = 0
+    c = math.comb(n, b + 1)
+    gcd = math.gcd
+    for m in range(b + 1, n // 2 + 1):  # empty exactly when the band is
+        g = gcd(g, c)
+        if g == 1:
+            break
+        c = c * (n - m) // (m + 1)
+    return BandGcd(n, b, n - b, g)
 
 
 def min_band(n: int) -> int:
@@ -169,7 +160,7 @@ def prime_band(n: int, p: int) -> int:
     return largest_undivided(n, n // 2, p)
 
 
-def verify_band_gap_identity(range_hi: int, sieve: PrimePowerSieve | None = None) -> list[BandGapRecord]:
+def verify_band_gap_identity(range_hi: int) -> list[BandGapRecord]:
     """Check min_band(n) == gap(n) for every 2 <= n <= range_hi and return the records.
 
     Raises VerificationError on any mismatch, which would mean a bug here, not
@@ -177,8 +168,7 @@ def verify_band_gap_identity(range_hi: int, sieve: PrimePowerSieve | None = None
     """
     if range_hi < 2:
         raise ParameterError(f"range_hi must be >= 2, got {range_hi}")
-    if sieve is None or sieve.limit < range_hi:
-        sieve = build_sieve(range_hi)
+    sieve = build_sieve(range_hi)
     records = []
     for n in range(2, range_hi + 1):
         b = min_band(n)
@@ -249,37 +239,3 @@ def asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve | N
     if not (math.isfinite(ratio) and math.isfinite(max_ratio)):
         raise ParameterError(f"exponent {exponent!r} sends the ratios past the float range up to n={range_hi}")
     return GapSumReport(range_hi, total, exponent, ratio, max_ratio, argmax)
-
-
-def coprimality_band(a: int, lo: int, hi: int) -> int:
-    """GCD of {C(a, b) : lo <= b <= hi}, early-exiting at 1."""
-    if not 0 <= lo <= hi <= a:
-        raise ParameterError(f"need 0 <= lo <= hi <= a, got a={a}, lo={lo}, hi={hi}")
-    g = 0
-    c = math.comb(a, lo)
-    gcd = math.gcd
-    for b in range(lo, hi + 1):
-        g = gcd(g, c)
-        if g == 1:
-            break
-        c = c * (a - b) // (b + 1)
-    return g
-
-
-def excess_dimension_bound(genus: int, bundle_degree: int, index: int) -> ExcessBound:
-    """Largest admissible excess dimension for linear subspaces of a secant variety.
-
-    Requires bundle_degree > 2*index.  The controlling quantity is the band of
-    the Pascal row m+g-1-d: when it is at most m+2g-1-2d, any linear subspace
-    of the d-th secant variety has dimension < d - 1 + band.
-    """
-    g, m, d = genus, bundle_degree, index
-    if g < 0 or m < 1 or d < 1:
-        raise ParameterError(f"need genus >= 0, degree >= 1, index >= 1, got {g}, {m}, {d}")
-    if m <= 2 * d:
-        raise ParameterError(f"excess bound needs degree > 2*index, got m={m}, d={d}")
-    row = m + g - 1 - d
-    band = min_band(row)
-    holds = band <= m + 2 * g - 1 - 2 * d
-    max_excess = band - 1 if holds and band >= 1 else None
-    return ExcessBound(row=row, band=band, hypothesis_holds=holds, max_excess=max_excess)

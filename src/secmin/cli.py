@@ -2,10 +2,11 @@
 
 Line-oriented key=value output with a fixed key order, or JSON with --json.
 Exit codes: 0 for pass/report, 1 for a falsified check, 2 for usage or
-precondition errors.  Payload lines are byte-stable across runs; the trailing
-elapsed_ms line is excluded from the stable section.  A command returns its
-records and status, and may add a dict of timing fields that the text output
-appends to the elapsed_ms line (verify-all: sieve_ms and <check>_ms).
+precondition errors and unreadable input files.  Payload lines are byte-stable
+across runs; the trailing elapsed_ms line is excluded from the stable section.
+A command returns its records and status, and may add a dict of timing fields
+that the text output appends to the elapsed_ms line (verify-all: sieve_ms and
+<check>_ms).
 """
 
 from __future__ import annotations
@@ -125,37 +126,27 @@ def cmd_secant(args) -> tuple[list[dict], str]:
     return [record], status
 
 
-_BOUNDS_REQUIRED = {
-    "constant": ["N"],
-    "height": ["g", "m", "L2"],
-    "lambda": ["g", "m", "k", "L2"],
-    "mu": ["g", "m", "k", "L2"],
-    "top": ["g", "m", "L2"],
-    "omega-lambda": ["g", "n", "k"],
-    "omega-mu": ["g", "n", "k"],
+_BOUNDS_INPUTS = {
+    "constant": ["N", "rank_shift"],
+    "height": ["g", "m", "L2", "Lw", "w2"],
+    "lambda": ["g", "m", "k", "L2", "Lw", "w2", "e_val"],
+    "mu": ["g", "m", "k", "L2", "Lw", "w2", "e_val"],
+    "top": ["g", "m", "L2", "Lw", "w2"],
+    "omega-lambda": ["g", "n", "k", "w2"],
+    "omega-mu": ["g", "n", "k", "w2"],
 }
 
 
 def cmd_bounds(args) -> tuple[list[dict], str]:
-    missing = [name for name in _BOUNDS_REQUIRED[args.which] if getattr(args, name) is None]
+    values = {name: getattr(args, name) for name in _BOUNDS_INPUTS[args.which]}
+    missing = [name for name, v in values.items() if v is None and name != "e_val"]
     if missing:
         raise ParameterError(f"bounds {args.which} needs --" + " --".join(missing))
     field = _field_from_args(args)
-    echo = _field_echo(field)
+    inputs = {name: v for name, v in values.items() if v is not None} | _field_echo(field)
     which = args.which
-    if which == "constant":
-        inputs = {"N": args.N, "rank_shift": args.rank_shift, **echo}
-    elif which == "height":
-        inputs = {"g": args.g, "m": args.m, "L2": args.L2, "Lw": args.Lw, "w2": args.w2, **echo}
-    elif which in ("lambda", "mu"):
-        inputs = {"g": args.g, "m": args.m, "k": args.k, "L2": args.L2, "Lw": args.Lw, "w2": args.w2, **echo}
-        if args.e_val is not None:
-            inputs["e_val"] = args.e_val
-    elif which == "top":
-        inputs = {"g": args.g, "m": args.m, "L2": args.L2, "Lw": args.Lw, "w2": args.w2, **echo}
+    if which == "top":
         which = "top-odd" if args.m % 2 == 1 else "top-even"
-    else:  # omega-lambda, omega-mu
-        inputs = {"g": args.g, "n": args.n, "k": args.k, "w2": args.w2, **echo}
     report = bounds.make_report(which, **inputs)
     record = {"kind": report.kind, **dict(report.inputs), "value": report.value}
     if which in ("top-odd", "top-even"):
@@ -284,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         records, status, *timing = args.fn(args)
-    except (ParameterError, ResourceLimitError, FileNotFoundError) as exc:
+    except (ParameterError, ResourceLimitError, OSError, UnicodeDecodeError) as exc:
         print(f"error={exc}", file=sys.stderr)
         print("status=fail")
         return 2

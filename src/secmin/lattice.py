@@ -304,38 +304,25 @@ def _adjugate(rows: list[list[int]]) -> list[list[int]]:
     ]
 
 
-def _checked_adjugate(rows: list[list[int]], det: int) -> list[list[int]]:
-    """The adjugate, after checking rows . adj == det . I exactly."""
+def _adjugate_lattice(lat: GramLattice) -> GramLattice:
+    """The dual rescaled by det: the integer adjugate Gram, with the dual's geometry.
+
+    Checks G . adj(G) == det(G) . I exactly before returning it.
+    """
+    rows = [list(r) for r in lat.gram]
     adj = _adjugate(rows)
-    n = len(rows)
+    n, det = lat.rank, lat.det
     for i in range(n):
         for j in range(n):
             if sum(rows[i][k] * adj[k][j] for k in range(n)) != (det if i == j else 0):
                 raise VerificationError(f"G . adj(G) != det(G) . I for {rows}")
-    return adj
+    return GramLattice.from_rows(adj)
 
 
-def dual_lattice(lat: GramLattice | RationalGram) -> RationalGram:
-    """Gram matrix of the metric dual in the dual basis: the exact inverse Gram.
-
-    A rational Gram is first cleared of denominators by their lcm L; the
-    inverse is then L adj(L G) / det(L G), from integer cofactors.
-    """
-    if isinstance(lat, GramLattice):
-        rows, denom, det = [list(r) for r in lat.gram], 1, lat.det
-    else:
-        denom = math.lcm(*(x.denominator for row in lat.entries for x in row))
-        rows = [[int(x * denom) for x in row] for row in lat.entries]
-        det = _int_det(rows)
-        if det == 0:
-            raise ParameterError("matrix is singular")
-    adj = _checked_adjugate(rows, det)
-    return RationalGram(tuple(tuple(Fraction(denom * a, det) for a in row) for row in adj))
-
-
-def _adjugate_lattice(lat: GramLattice) -> GramLattice:
-    """The dual rescaled by det: the integer adjugate Gram, with the dual's geometry."""
-    return GramLattice.from_rows(_checked_adjugate([list(r) for r in lat.gram], lat.det))
+def dual_lattice(lat: GramLattice) -> RationalGram:
+    """Gram matrix of the metric dual in the dual basis: the exact inverse adj(G) / det(G)."""
+    det = lat.det
+    return RationalGram(tuple(tuple(Fraction(a, det) for a in row) for row in _adjugate_lattice(lat).gram))
 
 
 def _wedge_rank(omega: list[int] | tuple[int, ...], n: int, p: int) -> int:
@@ -410,15 +397,6 @@ def sublattice_heights(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> Sublat
         covol2=tuple(covol2),
         log_heights=tuple(0.5 * math.log(c) for c in covol2),
     )
-
-
-def dual_minima(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
-    """Exact squared minima of the dual lattice, via the adjugate rescaling."""
-    adj = _adjugate_lattice(lat)
-    prof = successive_minima(adj, budget)
-    det = lat.det
-    sq = tuple(Fraction(q, det) for q in prof.sq_minima)
-    return sq, tuple(0.5 * (math.log(q.numerator) - math.log(q.denominator)) for q in sq)
 
 
 def dual_heights(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> tuple[tuple[Fraction, ...], tuple[float, ...]]:

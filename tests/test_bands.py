@@ -21,8 +21,6 @@ from secmin.bands import (
     GapSumReport,
     asymptotic_report,
     band_gcd,
-    coprimality_band,
-    excess_dimension_bound,
     min_band,
     prime_band,
     prime_power_gap,
@@ -468,41 +466,8 @@ class TestAsymptoticReport:
 
 
 class TestCoprimalityBand:
-    def test_examples(self):
-        assert coprimality_band(17, 0, 9) == 1  # C(A, 0) = 1 in the set
-        assert coprimality_band(6, 1, 2) == 3  # gcd(6, 15)
-
-    def test_consistent_with_band_gcd(self):
-        for a in (6, 10, 22, 36, 50):
-            b = min_band(a)
-            assert coprimality_band(a, b + 1, a - b - 1) == band_gcd(a, b).gcd
-            assert coprimality_band(a, b + 1, a - b - 1) > 1
-
     def test_rejects_bad_range(self):
         with pytest.raises(ParameterError):
-            coprimality_band(5, 3, 2)
+            band_gcd(1, 0)
         with pytest.raises(ParameterError):
-            coprimality_band(5, 0, 6)
-
-
-class TestExcessDimensionBound:
-    def test_no_excess_at_prime_power_row(self):
-        # row 16 = 2^4 has band 0: hypothesis holds, no positive excess allowed
-        r = excess_dimension_bound(2, 20, 5)
-        assert r.row == 16 and r.band == 0
-        assert r.hypothesis_holds and r.max_excess is None
-
-    def test_hypothesis_failure(self):
-        # g=0, m=13, d=6: row 6 has band 1 > m+2g-1-2d = 0
-        r = excess_dimension_bound(0, 13, 6)
-        assert r.row == 6 and r.band == 1
-        assert not r.hypothesis_holds and r.max_excess is None
-
-    def test_positive_excess(self):
-        # g=0, m=15, d=4: row 10 has band 1 <= 6, so excess up to 0 is allowed
-        r = excess_dimension_bound(0, 15, 4)
-        assert r.band == 1 and r.hypothesis_holds and r.max_excess == 0
-
-    def test_rejects_small_degree(self):
-        with pytest.raises(ParameterError):
-            excess_dimension_bound(2, 10, 5)
+            band_gcd(5, -1)

@@ -184,9 +184,15 @@ class TestLatticeCommand:
         code, _ = run(capsys, "lattice", "avoid", "--gram", str(DATA / "identity2.gram"))
         assert code == 2
 
-    def test_missing_file_exits_2(self, capsys):
-        code, _ = run(capsys, "lattice", "minima", "--gram", str(DATA / "missing.gram"))
+    @pytest.mark.parametrize("name", ["missing", "directory", "not-utf8"])
+    def test_missing_file_exits_2(self, capsys, tmp_path, name):
+        # an absent path, a directory and a file that is not UTF-8 are input errors, not falsified checks
+        (tmp_path / "directory").mkdir()
+        (tmp_path / "not-utf8").write_bytes(b"2\n\xff\xfe 0\n0 1\n")
+        code = cli.main(["lattice", "minima", "--gram", str(tmp_path / name)])
+        captured = capsys.readouterr()
         assert code == 2
+        assert captured.out == "status=fail\n" and captured.err.startswith("error=")
 
 
 class TestContract:

@@ -52,6 +52,10 @@ COMMANDS = {
             "top-even": "top --g 2 --m 10 --L2 7.0 --Lw 1.5 --w2 0.8",
             "omega-lambda": "omega-lambda --g 3 --n 2 --k 1 --w2 1.5",
             "omega-mu": "omega-mu --g 3 --n 2 --k 1 --w2 1.5",
+            "lambda-eval": "lambda --g 2 --m 12 --k 3 --L2 7.0 --Lw 1.5 --w2 0.8 --e-val 0.3",
+            "constant-rank-shift": "constant --N 2 --rank-shift",
+            "mu-field": "mu --g 2 --m 12 --k 3 --L2 7.0 --Lw 1.5 --w2 0.8"
+            " --degK 2 --r1 0 --r2 1 --log-disc 1.0986122886681098",
         }.items()
     },
     **{

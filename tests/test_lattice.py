@@ -18,7 +18,6 @@ from secmin.lattice import (
     avoid_hypersurface,
     dual_heights,
     dual_lattice,
-    dual_minima,
     evaluate_form,
     read_form,
     read_gram,
@@ -351,18 +350,19 @@ class TestDualLattice:
         rng = random.Random(413)
         for _ in range(25):
             lat = random_pd_gram(rng, rng.choice([2, 3, 4]))
-            assert dual_lattice(dual_lattice(lat)).entries == frac_matrix(lat.gram)
+            assert fraction_inverse(dual_lattice(lat).entries) == frac_matrix(lat.gram)
 
     def test_dual_minima_hexagonal(self):
-        sq, logs = dual_minima(HEXAGONAL)
-        assert sq[0] == Fraction(2, 3)
-        assert math.isclose(logs[0], 0.5 * math.log(2 / 3), rel_tol=1e-12)
+        # the dual is the adjugate lattice scaled by 1/det, so are its squared minima
+        adj = successive_minima(lattice._adjugate_lattice(HEXAGONAL))
+        sq = [Fraction(q, HEXAGONAL.det) for q in adj.sq_minima]
+        assert sq == [Fraction(2, 3), Fraction(2, 3)]
 
     def test_non_integral_adjugate_detected(self, monkeypatch):
         # a cofactor step giving G . adj != det . I: here adj = I against det(HEXAGONAL) = 3
         monkeypatch.setattr(lattice, "_adjugate", lambda rows: [[1, 0], [0, 1]])
         with pytest.raises(VerificationError):
-            dual_minima(HEXAGONAL)
+            dual_heights(HEXAGONAL)
         with pytest.raises(VerificationError):
             dual_lattice(HEXAGONAL)
 

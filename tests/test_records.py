@@ -33,7 +33,6 @@ def sample_records():
         bands.band_gcd(6, 0),
         bands.prime_power_gap(10, sieve),
         bands.asymptotic_report(100, 0.535, sieve),
-        bands.excess_dimension_bound(2, 7, 2),
         bounds.RATIONAL_FIELD,
         bounds.omega_power_surface(2, 1, 1.0, bounds.RATIONAL_FIELD),
         bounds.make_report("constant", N=1, degK=1, r1=1, r2=0, log_disc=0.0),

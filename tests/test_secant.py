@@ -290,19 +290,3 @@ class TestRestrictedSegre:
         for a in range(1, 20):
             for i in range(0, a + 2):
                 assert binomial(a, i) == (comb(a, i) if i <= a else 0)
-
-    def test_fiber_coefficients_feed_coprimality_bands(self):
-        # the x^i coefficients on a fiber are the binomials whose band GCDs
-        # control excess dimensions; the two modules must see the same numbers
-        from math import gcd
-
-        from secmin.bands import coprimality_band, excess_dimension_bound
-
-        g, m, d = 2, 20, 5
-        bound = excess_dimension_bound(g, m, d)
-        a = bound.row
-        lo, hi = 1, d - g
-        running = 0
-        for i in range(lo, hi + 1):
-            running = gcd(running, binomial(a, i))
-        assert coprimality_band(a, lo, hi) == running

@@ -6,16 +6,14 @@ prime-power gap: n minus the largest prime power <= n.  The identity, the
 quarter bound gap(n) <= n/4 (n >= 30), and the per-prime band identity are
 verified over ranges here; partial-sum growth is reported, never asserted.
 
-The band is computed from base-p digits, never from a binomial: by Kummer's
-theorem a prime p divides the whole band of width b exactly when
+By Kummer's theorem a prime p divides the whole band of width b exactly when
 prime_band(n, p) <= b, so min_band(n) is the least prime band over p <= n.
+With P the largest power of p that is <= n, that band is n - P when P > n//2
+(the leading-digit rule) and at least (n//2 + 1)/2 otherwise, more than the
+largest prime <= n leaves (Nagura).  So min_band(n) is the prime-power gap,
+found from that prime and the powers of the primes <= sqrt(n) with no table
+up to n.
 band_gcd keeps the exact bignum GCD scan as the oracle the tests hold it to.
-
-Two facts leave only a few primes to try.  Let cap = n//2 and P the largest
-power of p that is <= n.  Lemma: prime_band(n, p) >= cap + 1 - P, since the
-numbers a'*P + (n mod P), a' up to n's top base-p digit, are digit-dominated
-by n (Lucas), spaced P apart, and the first is n mod P <= cap.  Leading-digit
-rule: when P > cap, n's top digit is 1 and prime_band(n, p) = n - P exactly.
 
 Range verifications are deterministic and embarrassingly parallel over n; the
 implementations are serial.
@@ -93,52 +91,46 @@ def band_gcd(n: int, b: int) -> BandGcd:
 
 
 def min_band(n: int) -> int:
-    """Smallest b >= 0 whose band of binomials has a common divisor > 1, from digits.
+    """Smallest b >= 0 whose band of binomials has a common divisor > 1: the prime-power gap.
 
     A prime p divides every C(n, m) with b < m < n - b exactly when
-    prime_band(n, p) <= b (Kummer), so this is the least prime band over primes
-    p <= n and no binomial is formed; band_gcd is the exact oracle.
-
-    Only a few primes reach the digit kernel.  With cap = n//2 and P the
-    largest power of p that is <= n, prime_band(n, p) >= cap + 1 - P (the
-    lemma), and it equals n - P when P > cap (the leading-digit rule).  So each
-    prime in (cap, n] has band n - p, and the largest prime <= n, which Bertrand
-    puts there, sets best; a prime with P <= cap + 1 - best cannot beat it.
-    That leaves the primes in (max(sqrt n, cap + 1 - best), cap], where P = p,
-    and the primes <= sqrt n with P > cap + 1 - best.  Primality is read near
-    n, near n/2 and below sqrt n only, so a row above PRIME_TABLE_CAP sieves
-    no table up to n.
+    prime_band(n, p) <= b (Kummer), so the band is the least prime band over
+    primes p <= n; band_gcd is the exact oracle.  Let cap = n//2 and P the
+    largest power of p that is <= n.  When P > cap, n's top base-p digit is 1
+    and prime_band(n, p) = n - P (the leading-digit rule).  When P <= cap,
+    m = P and the numbers a*P + (n mod P), a up to n's top digit, are
+    digit-dominated by n (Lucas); the latter are P apart from n mod P <= cap,
+    so prime_band(n, p) >= max(P, cap + 1 - P) >= (cap + 1)/2 (the lemma).  By
+    Nagura there is a prime in [x, 6x/5] for x >= 25; with x = 5n/6 the
+    largest prime q <= n has n - q <= n/6 < (cap + 1)/2 for n >= 30, and
+    q > cap.  So no prime with P <= cap wins, and the band is n minus the
+    largest prime power <= n.  Rows n < 30 are checked exhaustively in the
+    tests.  Primality is read near n and below sqrt n only, so a row above
+    PRIME_TABLE_CAP sieves no table up to n.
     """
     if n < 2:
         raise ParameterError(f"min_band needs n >= 2, got {n}")
-    cap = n // 2
     q = n
     while not is_prime(q):
         q -= 1
-    best = n - q
-    if best == 0:
+    if q == n:
         return 0
     root = math.isqrt(n)
-    p = cap
-    while p > root and p > cap + 1 - best:
-        if is_prime(p):
-            best = min(best, largest_undivided(n, cap, p))
-        p -= 1
-    floor = cap + 1 - best
     for p in compress(range(root + 1), primes_covering(root)[: root + 1]):
         pk = p * p
         while pk * p <= n:
             pk *= p
-        if pk > floor:
-            b = n - pk if pk > cap else largest_undivided(n, cap, p)
-            if b < best:
-                best = b
-                floor = cap + 1 - b
-    return best
+        if pk > q:
+            q = pk
+    return n - q
 
 
 def prime_power_gap(n: int, sieve: PrimePowerSieve) -> BandGapRecord:
-    """n minus the largest prime power <= n, with the witness prime power."""
+    """n minus the largest prime power <= n, with the witness prime power.
+
+    Read from a sieve.  Only the tests and the bench's pascal-rows workload
+    call it.
+    """
     if n < 2:
         raise ParameterError(f"prime_power_gap needs n >= 2, got {n}")
     witness = sieve.largest_prime_power(n)

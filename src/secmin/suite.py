@@ -93,11 +93,11 @@ def check_band_gap_identity(hi: int) -> str:
 
 
 def check_prime_power_vanishing(hi: int) -> str:
+    """The definition at each prime power q: the binomials C(q, m), 0 < m < q, share a divisor."""
     prime_powers = arith.build_sieve(hi).prime_powers
     for q in prime_powers:
-        b = bands.min_band(q)
-        if b != 0:
-            raise VerificationError(f"band at prime power {q} is {b}, expected 0")
+        if bands.band_gcd(q, 0).gcd == 1:
+            raise VerificationError(f"C({q}, m) for 0 < m < {q} have gcd 1, expected band 0")
     return f"{len(prime_powers)} prime powers <= {hi}, all with band 0"
 
 
@@ -132,21 +132,17 @@ def check_kummer_legendre(hi: int) -> str:
 
 
 def check_prime_band_identity(hi: int) -> str:
-    """prime_band(n, p) == n - p^k whenever p^k <= n < 2 p^k (leading digit 1)."""
-    sieve = arith.build_sieve(hi)
-    primes = sieve.primes()
+    """prime_band(n, p) == n - q for each prime power q = p^k and q <= n < 2q (leading digit 1)."""
     checked = 0
-    for n in range(2, hi + 1):
-        for p in primes:
-            if p > n:
-                break
-            q = p
-            while q * p <= n:
-                q *= p
-            if n < 2 * q:  # leading base-p digit is 1
+    for p in arith.build_sieve(hi).primes():
+        q = p
+        while q <= hi:
+            top = min(2 * q - 1, hi)
+            for n in range(q, top + 1):
                 if bands.prime_band(n, p) != n - q:
                     raise VerificationError(f"prime band at n={n}, p={p} is not n - p^k")
-                checked += 1
+            checked += top + 1 - q
+            q *= p
     return f"{checked} leading-digit-1 cases match n - p^k for n <= {hi}"
 
 

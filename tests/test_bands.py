@@ -7,7 +7,7 @@ from itertools import compress
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from secmin import arith, bands
+from secmin import arith, bands, suite
 from secmin.arith import (
     PRIME_TABLE_CAP,
     PrimePowerSieve,
@@ -27,7 +27,7 @@ from secmin.bands import (
     verify_band_gap_identity,
     verify_quarter_bound,
 )
-from secmin.errors import ParameterError
+from secmin.errors import ParameterError, VerificationError
 
 
 def gcd_of_row_band(n: int, b: int) -> int:
@@ -63,12 +63,6 @@ def largest_power(n: int, p: int) -> int:
     while q * p <= n:
         q *= p
     return q
-
-
-def previous_prime(n: int) -> int:
-    while not is_prime(n):
-        n -= 1
-    return n
 
 
 def brute_largest_prime_power(n: int) -> int:
@@ -194,19 +188,15 @@ class TestMinBand:
     @example(8)
     @example(155921 + 85)
     @example(10**5)
-    def test_kernel_calls_fewer_than_prime_gap(self, n):
-        # a kernel call needs a prime in (cap + 1 - best, cap] or a prime power
-        # there; best starts at n - q, so that window holds n - q - 1 integers
-        calls = []
-
-        def counting(row, cap, p):
-            calls.append(p)
-            return largest_undivided(row, cap, p)
+    def test_makes_no_kernel_call(self, n):
+        # the gap comes from the largest prime and the prime powers alone:
+        # by Nagura no prime with P <= n//2 can lower it
+        def forbidden(*args):
+            raise AssertionError("min_band called the digit kernel")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bands, "largest_undivided", counting)
+            mp.setattr(bands, "largest_undivided", forbidden)
             min_band(n)
-        assert len(calls) <= max(n - previous_prime(n) - 1, 0), calls
 
     def test_above_table_cap_sieves_no_table_to_n(self, monkeypatch):
         rows = [PRIME_TABLE_CAP + k for k in (1, 2, 12, 30)]
@@ -222,8 +212,8 @@ class TestMinBand:
         monkeypatch.setattr(arith, "prime_table", counting)
         for n in rows:
             assert min_band(n) == n - sieve.largest_prime_power(n), n
-        # primality is read near n by trial division, and near n/2 and below
-        # sqrt(n) from the shared table, which the first row grew once
+        # primality is read near n by trial division, and below sqrt(n) from
+        # the shared table, which the first row grew once
         assert len(limits) == 1 and limits[0] < rows[0], limits
 
     def test_equals_min_of_prime_bands(self):
@@ -368,6 +358,19 @@ class TestVerifiers:
             if count[n] - count[(3 * n + 3) // 4 - 1] < 1
         ]
         assert prime_failures == [10]
+
+    def test_prime_power_vanishing_reads_the_definition(self, monkeypatch):
+        # a band GCD of 1 at one prime power must fail the check, whatever min_band says
+        band_gcd_exact = bands.band_gcd
+
+        def coprime_at_27(n, b):
+            got = band_gcd_exact(n, b)
+            return got._replace(gcd=1) if n == 27 else got
+
+        monkeypatch.setattr(bands, "band_gcd", coprime_at_27)
+        with pytest.raises(VerificationError, match=r"C\(27, m\) for 0 < m < 27 have gcd 1"):
+            suite.check_prime_power_vanishing(300)
+        assert suite.check_prime_power_vanishing(26) == "14 prime powers <= 26, all with band 0"
 
 
 class TestStretchScans:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from secmin import bands, cli
+from secmin import arith, bands, cli
 from secmin.errors import VerificationError
 
 DATA = Path(__file__).parent / "data"
@@ -38,6 +38,20 @@ class TestBandsCommands:
         code, out = run(capsys, "bands", "single", "--n", "8")
         assert code == 0
         assert parse_kv(out.splitlines()[0])["band"] == "0"
+
+    def test_single_large_row_builds_no_sieve(self, capsys, monkeypatch):
+        def forbidden(limit):
+            raise AssertionError(f"bands single sieved a table to {limit}")
+
+        monkeypatch.setattr(arith, "build_sieve", forbidden)
+        code, out = run(capsys, "bands", "single", "--n", "1000000000")
+        assert code == 0
+        assert out.splitlines()[:2] == ["n=1000000000 band=63 gap=63 witness=999999937", "status=pass"]
+
+    @pytest.mark.parametrize("argv", [["--n", "1"], []])
+    def test_single_without_a_row_exits_2(self, capsys, argv):
+        code, out = run(capsys, "bands", "single", *argv)
+        assert code == 2 and out == "status=fail\n"
 
     def test_verify(self, capsys):
         code, out = run(capsys, "bands", "verify", "--max", "200")
@@ -142,6 +156,29 @@ class TestBoundsCommand:
         assert code == 2
         code, _ = run(capsys, "bands", "single")
         assert code == 2
+
+
+    @pytest.mark.parametrize(
+        "argv, unread",
+        [
+            ("height --g 2 --m 2 --L2 1.0 --e-val 0.3 --k 5 --N 3", "--N --k --e-val"),
+            ("constant --N 1 --Lw 0.0", "--Lw"),
+            ("constant --N 1 --w2 1.5 --rank-shift --g 2", "--g --w2"),
+            ("omega-mu --g 3 --n 2 --k 1 --m 4 --L2 1.0", "--m --L2"),
+            ("lambda --g 2 --m 12 --k 3 --L2 7.0 --n 2", "--n"),
+        ],
+    )
+    def test_unread_flags_exit_2(self, capsys, argv, unread):
+        code = cli.main(["bounds", *argv.split()])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "status=fail\n"
+        assert captured.err == f"error=bounds {argv.split()[0]} does not read {unread}\n"
+
+    def test_lw_and_w2_default_to_zero(self, capsys):
+        _, implicit = run(capsys, "bounds", "top", "--g", "2", "--m", "9", "--L2", "7.0")
+        _, explicit = run(capsys, "bounds", "top", "--g", "2", "--m", "9", "--L2", "7.0", "--Lw", "0.0", "--w2", "0.0")
+        assert implicit.splitlines()[:2] == explicit.splitlines()[:2]
+        assert "Lw=0.0" in implicit and "w2=0.0" in implicit
 
 
 class TestLatticeCommand:

@@ -39,6 +39,7 @@ COMMANDS = {
         for gram in GRAMS
     },
     "bands-single-n2310": ["bands", "single", "--n", "2310"],
+    "bands-single-n10000000": ["bands", "single", "--n", "10000000"],
     "bands-verify-max200": ["bands", "verify", "--max", "200"],
     "bands-asymptotic-max10000": ["bands", "asymptotic", "--max", "10000"],
     **{

@@ -64,15 +64,17 @@ def kummer_valuation(n: int, m: int, p: int) -> int:
     """v_p(C(n, m)) as the number of carries when adding m and n-m in base p.
 
     Adding m and n-m carries out of digit k-1 exactly when m mod p^k exceeds
-    n mod p^k, so this counts those k >= 1; none qualifies once p^k > n.
-    O(log_p n); never touches the binomial itself.  Only the tests and the
-    bench's pascal-rows workload call it; the suite goes through carry_row.
+    n mod p^k, so this counts those k >= 1; none qualifies once p^k > n, so for
+    p^2 > n it is one last-digit comparison.  O(log_p n).  Only the tests and
+    the bench's pascal-rows workload call it; the suite goes through carry_row.
     """
     t = _table  # read inline: is_prime only for p outside the table or not marked prime
     if not (0 <= p < len(t) and t[p] or is_prime(p)):
         raise ParameterError(f"p must be prime, got {p}")
     if m < 0 or m > n:
         raise ParameterError(f"need 0 <= m <= n, got n={n}, m={m}")
+    if p * p > n:
+        return 1 if m % p > n % p else 0
     carries = 0
     q = p
     while q <= n:
@@ -81,13 +83,13 @@ def kummer_valuation(n: int, m: int, p: int) -> int:
     return carries
 
 
-def carry_row(n: int, p: int) -> list[int]:
-    """[v_p(C(n, m)) for m = 0..n]: kummer_valuation for a whole row at once.
+def carry_row(n: int, p: int) -> int:
+    """[v_p(C(n, m)) for m = 0..n] in 16-bit little-endian lanes: lane m of the
+    returned integer (bits 16m..16m+15) holds kummer_valuation(n, m, p).
 
     For each q = p^k <= n the carry indicator [m mod q > n mod q] is periodic in
-    m: one period (n mod q + 1 zeros, then ones) tiled along the row.  These byte
-    strings are summed as little-endian integers, one byte per m; no byte
-    carries into the next, since an entry counts at most log_p(n) < 256 carries.
+    m: one period (n mod q + 1 zeros, then ones) tiled along the row.  Summing
+    them carries no lane into the next, since an entry is at most log_p n.
     """
     if not is_prime(p):
         raise ParameterError(f"p must be prime, got {p}")
@@ -97,10 +99,10 @@ def carry_row(n: int, p: int) -> list[int]:
     q = p
     while q <= n:
         r = n % q
-        period = bytes(r + 1) + b"\x01" * (q - r - 1)
-        total += int.from_bytes((period * (n // q + 1))[: n + 1], "little")
+        period = bytes(2 * r + 2) + b"\x01\x00" * (q - r - 1)
+        total += int.from_bytes((period * (n // q + 1))[: 2 * n + 2], "little")
         q *= p
-    return list(total.to_bytes(n + 1, "little"))
+    return total
 
 
 def largest_undivided(n: int, cap: int, p: int) -> int:

@@ -142,6 +142,8 @@ def prime_band(n: int, p: int) -> int:
 
     Digit-only computation: C(n, b) is prime to p exactly when every base-p
     digit of b is at most the matching digit of n (arith.largest_undivided).
+    When p^2 > n, n and cap = n//2 have two digits at most and cap's top one is
+    at most n's, so b is cap with its last digit lowered to n's if it exceeds it.
     """
     if n < 2:
         raise ParameterError(f"prime_band needs n >= 2, got {n}")
@@ -149,7 +151,10 @@ def prime_band(n: int, p: int) -> int:
         raise ParameterError(f"p must be prime, got {p}")
     if p > n:
         raise ParameterError(f"prime_band needs p <= n, got p={p}, n={n}")
-    return largest_undivided(n, n // 2, p)
+    cap = n // 2
+    if p * p > n:
+        return cap - cap % p + n % p if cap % p > n % p else cap
+    return largest_undivided(n, cap, p)
 
 
 def verify_band_gap_identity(range_hi: int) -> list[BandGapRecord]:

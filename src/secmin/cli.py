@@ -12,7 +12,6 @@ that the text output appends to the elapsed_ms line (verify-all: sieve_ms and
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from fractions import Fraction
@@ -292,6 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     elapsed = int(1000 * (time.perf_counter() - t0))
     if args.json:
+        import json  # only --json output needs it: text runs skip the import
         print(json.dumps({"command": args.command, "status": status,
                           "records": [_jsonable(r) for r in records]}))
     else:

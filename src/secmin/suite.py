@@ -9,10 +9,9 @@ verify-all runs them all and prints one line per check.
 from __future__ import annotations
 
 import math
-import operator
 import random
+import struct
 import time
-from itertools import repeat
 from typing import NamedTuple
 
 from . import arith, bands, bounds, lattice, secant
@@ -108,24 +107,33 @@ def check_quarter_bound(hi: int, sieve: arith.PrimePowerSieve) -> str:
 
 
 def check_kummer_legendre(hi: int) -> str:
-    """Carry-count valuations against factorial-valuation (Legendre) tables, a row at a time."""
+    """Carry-count valuations against factorial-valuation (Legendre) tables, a row at a time.
+
+    Rows are compared as integers of 16-bit lanes, lane m for C(n, m) (arith.carry_row).
+    With f[k] = v_p(k!) packed once per prime ascending (up) and descending (down), lane m
+    of the oracle row is f[n] - f[m] - f[n-m] >= 0, so no lane borrows; f[n] <= n - 1 keeps
+    it in its lane for n < 2^16, and a larger hi raises ParameterError.
+    """
+    if hi >= 1 << 16:
+        raise ParameterError(f"valuation check packs 16-bit lanes, needs hi < 65536, got {hi}")
     sieve = arith.build_sieve(hi)
+    ones = int.from_bytes(b"\x01\x00" * (hi + 1), "little")
     checked = 0
     for p in sieve.primes():
-        fact_val = [0] * (hi + 1)  # fact_val[n] = v_p(n!)
-        for n in range(1, hi + 1):
-            q, v = n, 0
-            while q % p == 0:
-                q //= p
-                v += 1
-            fact_val[n] = fact_val[n - 1] + v
+        fact_val = [0] * (hi + 1)  # fact_val[n] = v_p(n!) = sum of n // p^i over i >= 1
+        q = p
+        while q <= hi:
+            fact_val = [f + n // q for n, f in enumerate(fact_val)]
+            q *= p
+        up = int.from_bytes(struct.pack(f"<{hi + 1}H", *fact_val), "little")
+        down = int.from_bytes(struct.pack(f"<{hi + 1}H", *reversed(fact_val)), "little")
         for n in range(p, hi + 1):
-            # expected[m] = v_p(n!) - v_p(m!) - v_p((n-m)!) for m = 0..n
-            denominators = map(operator.add, fact_val, fact_val[n::-1])
-            expected = list(map(operator.sub, repeat(fact_val[n]), denominators))
+            mask = (1 << 16 * (n + 1)) - 1
+            expected = fact_val[n] * (ones & mask) - (up & mask) - (down >> 16 * (hi - n) & mask)
             row = arith.carry_row(n, p)
             if row != expected:
-                m = next((m for m, (a, b) in enumerate(zip(row, expected)) if a != b), min(len(row), n + 1))
+                diff = row ^ expected
+                m = ((diff & -diff).bit_length() - 1) // 16
                 raise VerificationError(f"valuation mismatch at n={n}, m={m}, p={p}")
             checked += n + 1
     return f"{checked} valuations agree for n <= {hi}"

@@ -1,6 +1,7 @@
 """Substrate tests: binomials, digit kernels, valuations, sieve tables."""
 
 import math
+import struct
 import sys
 import threading
 from fractions import Fraction
@@ -66,6 +67,28 @@ def old_largest_prime_power_table(limit: int) -> list[int]:
     return lpp
 
 
+def lanes(row: int, n: int) -> list[int]:
+    """The n + 1 16-bit little-endian lanes of a packed carry_row, as a list."""
+    return list(struct.unpack(f"<{n + 1}H", row.to_bytes(2 * n + 2, "little")))
+
+
+def with_examples(cases):
+    """Apply hypothesis.example once per argument tuple in cases."""
+
+    def apply(test):
+        for case in cases:
+            test = example(*case)(test)
+        return test
+
+    return apply
+
+
+# rows n = p^2 - 1, p^2, p^2 + 1 either side of kummer_valuation's one-digit
+# path (p^2 > n), at m = 1 and m = p: C(p^2, 1) has two carries, C(p^2, p) one
+# from digit 1, which a last-digit comparison alone would miss
+FAST_PATH_EDGES = [(p * p + d, m, p) for p in (2, 3, 31, 1009, 1048583) for d in (-1, 0, 1) for m in (1, p)]
+
+
 def legendre_valuation(n: int, m: int, p: int) -> int:
     """Test oracle: sum of floor(n/p^i) - floor(m/p^i) - floor((n-m)/p^i)."""
     total = 0
@@ -129,6 +152,7 @@ class TestKummerValuation:
     )
     @example(10, 3, 11)
     @example(3 * 1048583**2 + 5, 1048583**2 + 1048582, 1048583)
+    @with_examples(FAST_PATH_EDGES)
     def test_against_legendre_random(self, a, b, p):
         # includes p > n (valuation 0) and primes above PRIME_TABLE_CAP
         n, m = max(a, b), min(a, b)
@@ -248,24 +272,32 @@ class TestCarryRow:
     def test_matches_kummer_valuation(self, n, p):
         # includes p = 2, p > n (a zero row) and n = 0
         row = carry_row(n, p)
-        assert row == [kummer_valuation(n, m, p) for m in range(n + 1)]
+        assert row >> 16 * (n + 1) == 0
+        assert lanes(row, n) == [kummer_valuation(n, m, p) for m in range(n + 1)]
 
     def test_against_legendre(self):
         for n in range(0, 200):
             for p in SMALL_PRIMES:
-                assert carry_row(n, p) == [legendre_valuation(n, m, p) for m in range(n + 1)]
+                assert lanes(carry_row(n, p), n) == [legendre_valuation(n, m, p) for m in range(n + 1)]
 
     @pytest.mark.parametrize("n, m, p", [(5, 0, 2), (37, 18, 3), (120, 120, 7), (113, 60, 113)])
     def test_bumped_entry_is_named_by_the_check(self, monkeypatch, n, m, p):
         def bumped(row_n, row_p):
             row = carry_row(row_n, row_p)
             if (row_n, row_p) == (n, p):
-                row[m] += 1
+                # lane n too, so that the check must name the lowest bad lane
+                row += 1 << (16 * m) | 1 << (16 * n)
             return row
 
         monkeypatch.setattr(arith, "carry_row", bumped)
         with pytest.raises(VerificationError, match=f"^valuation mismatch at n={n}, m={m}, p={p}$"):
             suite.check_kummer_legendre(120)
+
+    def test_check_refuses_rows_past_16_bit_lanes(self, monkeypatch):
+        # a lane holds v_p(n!) <= n - 1 only while n < 2^16
+        monkeypatch.setattr(arith, "build_sieve", None)  # refused before any work
+        with pytest.raises(ParameterError, match="65536"):
+            suite.check_kummer_legendre(1 << 16)
 
     def test_rejects_bad_arguments(self):
         for base in (4, 9, 1, 0, -3, PRIME_TABLE_CAP + 1):

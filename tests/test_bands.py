@@ -297,12 +297,17 @@ class TestPrimeBand:
     @example(2)
     @example(3)
     @example(4)
+    @example(31 * 31 - 1)
+    @example(31 * 31)
+    @example(31 * 31 + 1)
     @example(2 * 10**5)
     def test_lemma_and_leading_digit_rule(self, n):
-        # the pruning in min_band rests on these two, for every prime p <= n
+        # min_band's proof rests on these two, for every prime p <= n;
+        # the general digit kernel is the oracle for prime_band's p^2 > n shortcut
         cap = n // 2
         for p in compress(range(n + 1), primes_covering(n)[: n + 1]):
             b = prime_band(n, p)
+            assert b == largest_undivided(n, cap, p), (n, p)
             q = largest_power(n, p)
             assert b >= cap + 1 - q, (n, p)
             if q > cap:

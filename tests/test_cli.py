@@ -299,3 +299,12 @@ class TestModuleEntryPoints:
         proc = self.run_module(module, "lattice", "minima", "--gram", str(DATA / "missing.gram"))
         assert proc.returncode == 2
         assert proc.stdout.splitlines() == ["status=fail"]
+
+
+def test_import_leaves_json_unloaded():
+    # only --json output imports json; -S keeps site hooks from loading it first
+    probe = "import sys, secmin.cli; print('json' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -4,9 +4,10 @@ p-adic valuations (one entry or a whole row), and a sorted prime-power sieve.
 is_prime answers n <= PRIME_TABLE_CAP from one shared Eratosthenes table.
 Nothing is sieved at import: the first query that needs more of the table
 rebuilds it at least twice as large, up to the cap, and rebinds the module
-name to the new table.  A table is never changed in place, so a thread that
-still holds the old one reads a complete table.  Above the cap is_prime falls
-back to trial division.  A PrimePowerSieve is immutable once built and safe to
+name to the new table; a query with grow=False is answered by trial division
+instead.  A table is never changed in place, so a thread that still holds the
+old one reads a complete table.  Above the cap is_prime falls back to trial
+division.  A PrimePowerSieve is immutable once built and safe to
 share across threads.
 """
 
@@ -38,15 +39,21 @@ def binomial(n: int, m: int) -> int:
     return math.comb(n, m)
 
 
-def is_prime(n: int) -> bool:
-    """Primality: a table lookup up to PRIME_TABLE_CAP, trial division above it."""
+def is_prime(n: int, grow: bool = True) -> bool:
+    """Primality: a table lookup up to PRIME_TABLE_CAP, trial division above it.
+
+    A query past the shared table's end grows the table (primes_covering).
+    With grow=False it goes to trial division instead: for a few reads near a
+    large n that is cheaper than sieving up to n.
+    """
     if n < 2:
         return False
     if n <= PRIME_TABLE_CAP:
         t = _table  # read inline: a call to primes_covering per query costs a third more
-        if n >= len(t):
-            t = primes_covering(n)
-        return t[n] == 1
+        if n < len(t):
+            return t[n] == 1
+        if grow:
+            return primes_covering(n)[n] == 1
     if n % 2 == 0:
         return n == 2
     if n % 3 == 0:

@@ -105,13 +105,14 @@ def min_band(n: int) -> int:
     largest prime q <= n has n - q <= n/6 < (cap + 1)/2 for n >= 30, and
     q > cap.  So no prime with P <= cap wins, and the band is n minus the
     largest prime power <= n.  Rows n < 30 are checked exhaustively in the
-    tests.  Primality is read near n and below sqrt n only, so a row above
-    PRIME_TABLE_CAP sieves no table up to n.
+    tests.  Primality is read near n and below sqrt n only: the reads near n
+    that the shared table does not reach go to trial division, so no row
+    sieves a table up to n.
     """
     if n < 2:
         raise ParameterError(f"min_band needs n >= 2, got {n}")
     q = n
-    while not is_prime(q):
+    while not is_prime(q, grow=False):
         q -= 1
     if q == n:
         return 0
@@ -166,6 +167,7 @@ def verify_band_gap_identity(range_hi: int) -> list[BandGapRecord]:
     if range_hi < 2:
         raise ParameterError(f"range_hi must be >= 2, got {range_hi}")
     sieve = build_sieve(range_hi)
+    primes_covering(range_hi)  # min_band then reads every row from the shared table
     records = []
     for n in range(2, range_hi + 1):
         b = min_band(n)

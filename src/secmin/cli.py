@@ -7,6 +7,13 @@ across runs; the trailing elapsed_ms line is excluded from the stable section.
 A command returns its records and status, and may add a dict of timing fields
 that the text output appends to the elapsed_ms line (verify-all: sieve_ms and
 <check>_ms).
+
+Importing this module loads none of the computation modules.  Each command
+names the ones it runs (bands: arith and bands; secant; bounds; lattice;
+verify-all: suite, which loads them all), and main imports them when the
+command runs, so a process pays only for what it calls.  elapsed_ms covers
+that import and the command; import_ms, the second field of the elapsed line,
+is the import alone.
 """
 
 from __future__ import annotations
@@ -14,11 +21,15 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
-from pathlib import Path
 
-from . import arith, bands, bounds, lattice, secant, suite
 from .errors import ParameterError, ResourceLimitError, VerificationError
+
+
+def _is_fraction(v) -> bool:
+    # a Fraction exists only once its module is loaded, and the commands that
+    # print none never load it
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(v, fractions.Fraction)
 
 
 def _fmt(v) -> str:
@@ -26,7 +37,7 @@ def _fmt(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
-    if isinstance(v, Fraction):
+    if _is_fraction(v):
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, (tuple, list)):
         return ",".join(_fmt(x) for x in v)
@@ -38,7 +49,7 @@ def _emit(record: dict) -> str:
 
 
 def _jsonable(v):
-    if isinstance(v, Fraction):
+    if _is_fraction(v):
         return str(v)
     if isinstance(v, (tuple, list)):
         return [_jsonable(x) for x in v]
@@ -55,7 +66,8 @@ def _field_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--log-disc", type=float, default=None, help="log |discriminant|")
 
 
-def _field_from_args(args) -> bounds.NumberFieldData:
+def _field_from_args(args):
+    from . import bounds
     explicit = [args.degK, args.r1, args.r2, args.log_disc]
     if args.field == "Q" or all(v is None for v in explicit):
         return bounds.RATIONAL_FIELD
@@ -64,7 +76,7 @@ def _field_from_args(args) -> bounds.NumberFieldData:
     return bounds.NumberFieldData(args.degK, args.r1, args.r2, args.log_disc)
 
 
-def _field_echo(field: bounds.NumberFieldData) -> dict:
+def _field_echo(field) -> dict:
     return {
         "degK": field.degree,
         "r1": field.real_places,
@@ -74,6 +86,7 @@ def _field_echo(field: bounds.NumberFieldData) -> dict:
 
 
 def cmd_bands(args) -> tuple[list[dict], str]:
+    from . import arith, bands
     if args.mode == "single":
         if args.n is None:
             raise ParameterError("mode single needs --n")
@@ -105,6 +118,7 @@ def cmd_bands(args) -> tuple[list[dict], str]:
 
 
 def cmd_secant(args) -> tuple[list[dict], str]:
+    from . import secant
     p = secant.SecantParams(args.g, args.m, args.d)
     p.require_valid()
     record: dict = {"g": args.g, "m": args.m, "d": args.d}
@@ -137,6 +151,7 @@ _BOUNDS_DEFAULTS = {"rank_shift": False, "Lw": 0.0, "w2": 0.0, "e_val": None}
 
 
 def cmd_bounds(args) -> tuple[list[dict], str]:
+    from . import bounds
     reads = _BOUNDS_INPUTS[args.which]
     every = dict.fromkeys(name for names in _BOUNDS_INPUTS.values() for name in names)
     unread = [name for name in every if name not in reads and getattr(args, name) is not None]
@@ -162,6 +177,9 @@ def cmd_bounds(args) -> tuple[list[dict], str]:
 
 
 def cmd_lattice(args) -> tuple[list[dict], str]:
+    from pathlib import Path
+
+    from . import lattice
     lat = lattice.read_gram(Path(args.gram).read_text())
     if args.action == "minima":
         prof = lattice.successive_minima(lat)
@@ -219,6 +237,7 @@ def cmd_lattice(args) -> tuple[list[dict], str]:
 
 
 def cmd_verify_all(args) -> tuple[list[dict], str, dict]:
+    from . import suite
     run = suite.run_all(quick=args.quick)
     records = [
         {"check": r.name, "status": "pass" if r.ok else "fail", "detail": r.detail}
@@ -238,14 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="row for mode single")
     p.add_argument("--max", type=int, help="range bound for verify/asymptotic")
     p.add_argument("--exponent", type=float, action="append", help="scaling exponent (repeatable)")
-    p.set_defaults(fn=cmd_bands)
+    p.set_defaults(fn=cmd_bands, modules=("arith", "bands"))
 
     p = sub.add_parser("secant", help="secant-variety degree, closed form and series oracle")
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--mode", choices=["closed", "oracle", "both"], default="both")
-    p.set_defaults(fn=cmd_secant)
+    p.set_defaults(fn=cmd_secant, modules=("secant",))
 
     p = sub.add_parser("bounds", help="explicit bound evaluators")
     p.add_argument("which", choices=["constant", "height", "lambda", "mu", "top", "omega-lambda", "omega-mu"])
@@ -260,17 +279,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w2", type=float, help="default 0.0")
     p.add_argument("--e-val", type=float, default=None, dest="e_val")
     _field_args(p)
-    p.set_defaults(fn=cmd_bounds)
+    p.set_defaults(fn=cmd_bounds, modules=("bounds",))
 
     p = sub.add_parser("lattice", help="Gram-lattice computations")
     p.add_argument("action", choices=["minima", "dual", "heights", "transference", "avoid"])
     p.add_argument("--gram", required=True, help="Gram matrix file")
     p.add_argument("--form", help="form file for action avoid")
-    p.set_defaults(fn=cmd_lattice)
+    p.set_defaults(fn=cmd_lattice, modules=("lattice",))
 
     p = sub.add_parser("verify-all", help="run the pinned verification suite")
     p.add_argument("--quick", action="store_true", help="reduced desk-scale ranges")
-    p.set_defaults(fn=cmd_verify_all)
+    p.set_defaults(fn=cmd_verify_all, modules=("suite",))
 
     return parser
 
@@ -279,6 +298,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
+    for name in args.modules:  # the command's own imports then find them loaded
+        __import__(f"{__package__}.{name}")
+    import_ms = int(1000 * (time.perf_counter() - t0))
     try:
         records, status, *timing = args.fn(args)
     except (ParameterError, ResourceLimitError, OSError, UnicodeDecodeError) as exc:
@@ -298,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
         for record in records:
             print(_emit(record))
         print(f"status={status}")
-        print(_emit({"elapsed_ms": elapsed, **(timing[0] if timing else {})}))
+        print(_emit({"elapsed_ms": elapsed, "import_ms": import_ms, **(timing[0] if timing else {})}))
     return 1 if status == "fail" else 0
 
 

@@ -17,10 +17,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, product
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .bounds import RATIONAL_FIELD, NumberFieldData, transference_constant
 from .errors import ParameterError, ResourceLimitError, VerificationError
+
+if TYPE_CHECKING:
+    from .bounds import NumberFieldData
 
 MAX_RANK = 6
 HEIGHT_MAX_RANK = 4
@@ -410,7 +412,7 @@ def dual_heights(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> tuple[tuple[
 
 def verify_transference(
     lat: GramLattice,
-    field: NumberFieldData = RATIONAL_FIELD,
+    field: NumberFieldData | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> TransferenceReport:
     """Two-sided comparison of minima partial sums with dual sublattice heights.
@@ -418,24 +420,27 @@ def verify_transference(
     For each p in [1, rank], checks
         ell_(rank-p)(dual) <= sum_(j<=p) lambda_j
                            <= C(rank-1, K) + ell_(rank-p)(dual) + log det,
-    over the rationals only, with the rank-0 dual height equal to 0.  Ranks
-    above HEIGHT_MAX_RANK = 4 are rejected with ParameterError.  Both sides
-    are theorems for the integer Gram lattices it accepts: the lower via
-    covolume duality plus Hadamard on the minima witnesses, the upper via the
+    over the rationals only (field None, the default, or bounds.RATIONAL_FIELD),
+    with the rank-0 dual height equal to 0.  Ranks above HEIGHT_MAX_RANK = 4
+    are rejected with ParameterError.  Both sides are theorems for the
+    integer Gram lattices it accepts: the lower via covolume duality plus
+    Hadamard on the minima witnesses, the upper via the
     second-theorem volume bound (every partial minima sum is at most the full
     one, primal sublattice covolumes are >= 1, and the unit-ball volume grows
     through dimension 5).  A violation raises, signalling an implementation
     bug.  The log-det-free printed form of the upper bound is reported per
     row but not enforced; it fails on lattices as small as diag(3, 3).
     """
-    if field != RATIONAL_FIELD:
+    # imported here, so that the lattice commands that skip this check do not load bounds
+    from .bounds import RATIONAL_FIELD, transference_constant
+    if field is not None and field != RATIONAL_FIELD:
         raise ParameterError("transference check is implemented over the rationals only")
     n = lat.rank
     if n > HEIGHT_MAX_RANK:
         raise ParameterError(f"transference check supports rank <= {HEIGHT_MAX_RANK}, got {n}")
     minima = successive_minima(lat, budget)
     _, d_heights = dual_heights(lat, budget)
-    constant = transference_constant(n - 1, field)
+    constant = transference_constant(n - 1, RATIONAL_FIELD)
     log_det = math.log(lat.det)
     rows = []
     minima_sum = 0.0

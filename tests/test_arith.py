@@ -329,6 +329,13 @@ class TestIsPrime:
         assert not is_prime(1048583 * 1048573)
         assert len(arith._table) == 0  # nothing sieved above the cap
 
+    def test_without_growth_reads_past_table_by_trial_division(self, monkeypatch):
+        table = arith.prime_table(100)
+        monkeypatch.setattr(arith, "_table", table)
+        for n in [-7, -1, 0, 1, *range(2, 3000), *range(PRIME_TABLE_CAP - 64, PRIME_TABLE_CAP + 65)]:
+            assert is_prime(n, grow=False) == prime_by_trial_division(n), n
+        assert arith._table is table
+
     def test_table_grows_by_rebinding(self, monkeypatch):
         monkeypatch.setattr(arith, "_table", bytearray())
         assert is_prime(101)

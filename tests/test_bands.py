@@ -216,6 +216,18 @@ class TestMinBand:
         # the shared table, which the first row grew once
         assert len(limits) == 1 and limits[0] < rows[0], limits
 
+    def test_below_table_cap_sieves_no_table_to_n(self, monkeypatch):
+        prime_table = arith.prime_table
+
+        def refusing(limit):
+            if limit >= 10**6:
+                raise AssertionError(f"min_band sieved a table to {limit}")
+            return prime_table(limit)
+
+        monkeypatch.setattr(arith, "_table", bytearray())
+        monkeypatch.setattr(arith, "prime_table", refusing)
+        assert min_band(10**6) == 17
+
     def test_equals_min_of_prime_bands(self):
         sieve = build_sieve(500)
         primes = sieve.primes()

@@ -32,7 +32,7 @@ class TestBandsCommands:
         assert code == 0
         assert parse_kv(lines[0]) == {"n": "10", "band": "1", "gap": "1", "witness": "9"}
         assert lines[1] == "status=pass"
-        assert lines[2].startswith("elapsed_ms=")
+        assert list(parse_kv(lines[2])) == ["elapsed_ms", "import_ms"]
 
     def test_single_prime_power(self, capsys):
         code, out = run(capsys, "bands", "single", "--n", "8")
@@ -274,7 +274,7 @@ class TestContract:
         lines = out.splitlines()
         names = [ln.split()[0].removeprefix("check=") for ln in lines if ln.startswith("check=")]
         timing = {k: int(v) for k, v in parse_kv(lines[-1]).items()}
-        assert list(timing) == ["elapsed_ms", "sieve_ms"] + [f"{name}_ms" for name in names]
+        assert list(timing) == ["elapsed_ms", "import_ms", "sieve_ms"] + [f"{name}_ms" for name in names]
         assert all(v >= 0 for v in timing.values())
         assert sum(timing.values()) - timing["elapsed_ms"] <= timing["elapsed_ms"]
 
@@ -301,10 +301,43 @@ class TestModuleEntryPoints:
         assert proc.stdout.splitlines() == ["status=fail"]
 
 
-def test_import_leaves_json_unloaded():
-    # only --json output imports json; -S keeps site hooks from loading it first
-    probe = "import sys, secmin.cli; print('json' in sys.modules)"
+ARITH, BANDS, BOUNDS, LATTICE, SECANT = (f"secmin.{m}" for m in ("arith", "bands", "bounds", "lattice", "secant"))
+HEXAGONAL = str(DATA / "hexagonal.gram")
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        pytest.param([], set(), id="import"),
+        pytest.param(["bands", "single", "--n", "1000000"], {ARITH, BANDS}, id="bands-single"),
+        pytest.param(["secant", "--g", "1", "--m", "5", "--d", "2"], {ARITH, SECANT}, id="secant"),
+        pytest.param(["bounds", "lambda", "--g", "2", "--m", "12", "--k", "3", "--L2", "7.0"],
+                     {ARITH, SECANT, BOUNDS}, id="bounds-lambda"),
+        pytest.param(["lattice", "minima", "--gram", HEXAGONAL], {LATTICE, "fractions"}, id="lattice-minima"),
+        pytest.param(["lattice", "transference", "--gram", HEXAGONAL],
+                     {ARITH, SECANT, BOUNDS, LATTICE, "fractions"}, id="lattice-transference"),
+        pytest.param(["verify-all", "--quick"],
+                     {ARITH, BANDS, SECANT, BOUNDS, LATTICE, "secmin.suite", "fractions", "random", "struct"},
+                     id="verify-all-quick"),
+    ],
+)
+def test_cli_loads_only_the_command_modules(argv, loads):
+    # -S keeps site hooks from loading any of the watched modules first; only
+    # --json output imports json
+    probe = (
+        "import sys\n"
+        "from secmin import cli\n"
+        "if sys.argv[1:]:\n"
+        "    cli.main(sys.argv[1:])\n"
+        "watched = {'fractions', 'random', 'struct', 'dataclasses', 'inspect', 'json'}\n"
+        "print(','.join(sorted(m for m in sys.modules if m.split('.')[0] == 'secmin' or m in watched)))\n"
+        "print(len(sys.modules['secmin.arith']._table) if 'secmin.arith' in sys.modules else 0)\n"
+    )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    *_, loaded, table = proc.stdout.splitlines()
+    assert set(loaded.split(",")) == {"secmin", "secmin.cli", "secmin.errors"} | loads
+    # bands single reads primality near 10^6 without sieving the shared table that far
+    assert int(table) < 10**6

@@ -1,9 +1,25 @@
 """Result records: immutable NamedTuples, validated on every construction path."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from secmin import arith, bands, bounds, lattice, secant, suite
 from secmin.errors import ParameterError
+
+SRC = Path(__file__).parents[1] / "src"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+    code = "import sys, secmin.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def sample_records():

@@ -1,14 +1,14 @@
 """Exact integer substrate: binomial coefficients, base-p digit tests, carry-count
 p-adic valuations (one entry or a whole row), and a sorted prime-power sieve.
 
-is_prime answers n <= PRIME_TABLE_CAP from one shared Eratosthenes table.
-Nothing is sieved at import: the first query that needs more of the table
-rebuilds it at least twice as large, up to the cap, and rebinds the module
-name to the new table; a query with grow=False is answered by trial division
-instead.  A table is never changed in place, so a thread that still holds the
-old one reads a complete table.  Above the cap is_prime falls back to trial
-division.  A PrimePowerSieve is immutable once built and safe to
-share across threads.
+Primality has one table, the shared Eratosthenes table _table, and only a
+sieve extends it: primes_covering(n), which build_sieve calls, sieves exactly
+to n when the table is short and rebinds the module name to the new table.  A
+table is replaced whole, never edited in place, so a thread that still holds
+the old one reads a complete table; nothing is sieved at import, and no table
+above PRIME_TABLE_CAP is stored.  is_prime only reads the table: a query past
+its end goes to trial division.  A PrimePowerSieve is immutable once built and
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import compress
 
 from .errors import ParameterError, ResourceLimitError
 
-# Largest n that is_prime answers from the shared table (a 1 MiB bytearray).
+# Largest n whose table primes_covering stores as the shared one (a 1 MiB bytearray).
 PRIME_TABLE_CAP = 1 << 20
 
 # The shared table: entry i is 1 iff i is prime.  Replaced whole, never edited.
@@ -39,21 +39,13 @@ def binomial(n: int, m: int) -> int:
     return math.comb(n, m)
 
 
-def is_prime(n: int, grow: bool = True) -> bool:
-    """Primality: a table lookup up to PRIME_TABLE_CAP, trial division above it.
-
-    A query past the shared table's end grows the table (primes_covering).
-    With grow=False it goes to trial division instead: for a few reads near a
-    large n that is cheaper than sieving up to n.
-    """
+def is_prime(n: int) -> bool:
+    """Primality: a lookup in the shared table, trial division past its end."""
     if n < 2:
         return False
-    if n <= PRIME_TABLE_CAP:
-        t = _table  # read inline: a call to primes_covering per query costs a third more
-        if n < len(t):
-            return t[n] == 1
-        if grow:
-            return primes_covering(n)[n] == 1
+    t = _table  # one read: the length check and the lookup see the same table
+    if n < len(t):
+        return t[n] == 1
     if n % 2 == 0:
         return n == 2
     if n % 3 == 0:
@@ -173,26 +165,29 @@ def prime_table(limit: int) -> bytearray:
 def primes_covering(n: int) -> bytearray:
     """An Eratosthenes table (as prime_table) with an entry for n >= 0.
 
-    Up to PRIME_TABLE_CAP this is the shared table, first grown to at least
-    twice its size when it is too short; above the cap, a fresh prime_table(n).
-    Callers must not modify it.
+    The shared table when it reaches n.  Otherwise a fresh prime_table(n),
+    which replaces the shared one when n <= PRIME_TABLE_CAP.  Callers must not
+    modify it.
     """
     global _table
     t = _table
     if n < len(t):
         return t
-    if n > PRIME_TABLE_CAP:
-        return prime_table(n)
-    t = prime_table(min(max(n, 2 * len(t), 1), PRIME_TABLE_CAP))
-    _table = t
+    t = prime_table(max(n, 1))
+    if n <= PRIME_TABLE_CAP:
+        _table = t
     return t
 
 
 def build_sieve(limit: int) -> PrimePowerSieve:
-    """Build a PrimePowerSieve covering [1, limit]; limit >= 2."""
+    """Build a PrimePowerSieve covering [1, limit]; limit >= 2.
+
+    Its table is primes_covering(limit), so up to PRIME_TABLE_CAP the sieve
+    and is_prime read the same table, which may run past limit.
+    """
     if limit < 2:
         raise ParameterError(f"sieve limit must be >= 2, got {limit}")
-    table = prime_table(limit)
+    table = primes_covering(limit)
     try:
         powers = list(compress(range(limit + 1), table))
         # only primes <= sqrt(limit) have a higher power <= limit

@@ -30,19 +30,6 @@ from .arith import PrimePowerSieve, build_sieve, is_prime, largest_undivided, pr
 from .errors import ParameterError, VerificationError
 
 
-class BandGcd(NamedTuple):
-    """Exact GCD of {C(n, m) : band_lo < m < band_hi}; gcd = 0 for an empty band."""
-
-    n: int
-    band_lo: int
-    band_hi: int
-    gcd: int
-
-    @property
-    def empty(self) -> bool:
-        return self.band_lo + 1 >= self.band_hi
-
-
 class BandGapRecord(NamedTuple):
     """b(n) and c(n) side by side; band is None when only the gap was computed."""
 
@@ -68,7 +55,7 @@ class GapSumReport(NamedTuple):
     argmax: int
 
 
-def band_gcd(n: int, b: int) -> BandGcd:
+def band_gcd(n: int, b: int) -> int:
     """Exact GCD of the binomials C(n, m) over the open band b < m < n - b.
 
     Scans only up to the middle (the band is symmetric) and stops early once
@@ -87,7 +74,7 @@ def band_gcd(n: int, b: int) -> BandGcd:
         if g == 1:
             break
         c = c * (n - m) // (m + 1)
-    return BandGcd(n, b, n - b, g)
+    return g
 
 
 def min_band(n: int) -> int:
@@ -112,7 +99,7 @@ def min_band(n: int) -> int:
     if n < 2:
         raise ParameterError(f"min_band needs n >= 2, got {n}")
     q = n
-    while not is_prime(q, grow=False):
+    while not is_prime(q):
         q -= 1
     if q == n:
         return 0
@@ -166,8 +153,7 @@ def verify_band_gap_identity(range_hi: int) -> list[BandGapRecord]:
     """
     if range_hi < 2:
         raise ParameterError(f"range_hi must be >= 2, got {range_hi}")
-    sieve = build_sieve(range_hi)
-    primes_covering(range_hi)  # min_band then reads every row from the shared table
+    sieve = build_sieve(range_hi)  # up to PRIME_TABLE_CAP, min_band reads its table too
     records = []
     for n in range(2, range_hi + 1):
         b = min_band(n)
@@ -202,7 +188,7 @@ def verify_quarter_bound(range_hi: int, sieve: PrimePowerSieve) -> bool:
     return all(4 * (end - p) <= end for p, end in _stretches(range_hi, 30, sieve))
 
 
-def asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve | None = None) -> GapSumReport:
+def asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve) -> GapSumReport:
     """Partial sums and pointwise maxima of the gap function, scaled by n^exponent.
 
     |exponent|*ln(range_hi) <= 708 keeps every n**exponent a normal float, and a
@@ -219,8 +205,6 @@ def asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve | N
         raise ParameterError(f"range_hi must be >= 2, got {range_hi}")
     if not math.isfinite(exponent) or abs(exponent) * math.log(range_hi) > 708:
         raise ParameterError(f"exponent {exponent!r} leaves n**exponent outside the float range up to n={range_hi}")
-    if sieve is None or sieve.limit < range_hi:
-        sieve = build_sieve(range_hi)
     total = 0
     max_ratio = -1.0
     argmax = 2

@@ -95,7 +95,7 @@ def check_prime_power_vanishing(hi: int) -> str:
     """The definition at each prime power q: the binomials C(q, m), 0 < m < q, share a divisor."""
     prime_powers = arith.build_sieve(hi).prime_powers
     for q in prime_powers:
-        if bands.band_gcd(q, 0).gcd == 1:
+        if bands.band_gcd(q, 0) == 1:
             raise VerificationError(f"C({q}, m) for 0 < m < {q} have gcd 1, expected band 0")
     return f"{len(prime_powers)} prime powers <= {hi}, all with band 0"
 

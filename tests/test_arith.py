@@ -19,6 +19,7 @@ from secmin.arith import (
     kummer_valuation,
     largest_undivided,
     prime_table,
+    primes_covering,
 )
 from secmin.errors import ParameterError, ResourceLimitError, VerificationError
 
@@ -311,11 +312,14 @@ class TestCarryRow:
 class TestIsPrime:
     def test_edges_and_cap_window(self, monkeypatch):
         monkeypatch.setattr(arith, "_table", bytearray())
-        for n in [-(10**6), -7, -2, -1, 0, 1, *range(PRIME_TABLE_CAP - 64, PRIME_TABLE_CAP + 65)]:
+        window = [-(10**6), -7, -2, -1, 0, 1, *range(PRIME_TABLE_CAP - 64, PRIME_TABLE_CAP + 65)]
+        for n in window:
             assert is_prime(n) == prime_by_trial_division(n), n
-        # small queries after the table grew to the cap
+        assert len(arith._table) == 0  # queries never grow the table
+        # the widest table stored ends at the cap; the window's top reads past it
+        primes_covering(PRIME_TABLE_CAP)
         assert len(arith._table) == PRIME_TABLE_CAP + 1
-        for n in range(-3, 3000):
+        for n in [*window, *range(-3, 3000)]:
             assert is_prime(n) == prime_by_trial_division(n), n
 
     @given(st.integers(min_value=-1000, max_value=10**7))
@@ -330,36 +334,46 @@ class TestIsPrime:
         assert len(arith._table) == 0  # nothing sieved above the cap
 
     def test_without_growth_reads_past_table_by_trial_division(self, monkeypatch):
+        def refusing(limit):
+            raise AssertionError(f"is_prime sieved a table to {limit}")
+
         table = arith.prime_table(100)
         monkeypatch.setattr(arith, "_table", table)
+        monkeypatch.setattr(arith, "prime_table", refusing)
         for n in [-7, -1, 0, 1, *range(2, 3000), *range(PRIME_TABLE_CAP - 64, PRIME_TABLE_CAP + 65)]:
-            assert is_prime(n, grow=False) == prime_by_trial_division(n), n
+            assert is_prime(n) == prime_by_trial_division(n), n
         assert arith._table is table
 
     def test_table_grows_by_rebinding(self, monkeypatch):
         monkeypatch.setattr(arith, "_table", bytearray())
-        assert is_prime(101)
-        old = arith._table
+        old = primes_covering(101)
+        assert arith._table is old and len(old) == 102  # sieved exactly to n
+        assert primes_covering(50) is old
         snapshot = bytes(old)
-        assert is_prime(1009)
-        assert arith._table is not old and bytes(old) == snapshot
-        assert len(arith._table) >= 2 * len(old)
-        assert not is_prime(1011)
-        n = len(arith._table)  # one past the end: grows again
-        assert is_prime(n) == prime_by_trial_division(n)
-        assert len(arith._table) >= 2 * n
+        new = primes_covering(1009)
+        assert arith._table is new and len(new) == 1010
+        assert bytes(old) == snapshot  # replaced whole, not edited in place
+        assert new == prime_table(1009)
+        last = primes_covering(1010)
+        assert len(last) == 1011  # one past the end: sieved to it, no doubling
+        above = primes_covering(PRIME_TABLE_CAP + 1)
+        assert len(above) == PRIME_TABLE_CAP + 2 and arith._table is last  # nothing above the cap stored
 
     def test_threads_share_growing_table(self, monkeypatch):
         monkeypatch.setattr(arith, "_table", bytearray())
         hi = 1 << 16
-        expected = [prime_by_trial_division(n) for n in range(hi)]
+        expected = prime_table(hi)
         wrong = []
 
-        def worker(offset):
-            # each thread climbs through the sizes, so growths interleave
-            for n in range(offset, hi, 7):
-                if is_prime(n) != expected[n]:
+        def worker(k):
+            # thread k climbs in strides of 131(k + 1), so tables of mixed sizes
+            # replace each other while the other threads read them
+            for n in range(k + 2, hi, 131 * (k + 1)):
+                if primes_covering(n)[: n + 1] != expected[: n + 1]:
                     wrong.append(n)
+                m = hi - n
+                if is_prime(m) != bool(expected[m]):
+                    wrong.append(m)
 
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -373,6 +387,7 @@ class TestIsPrime:
             sys.setswitchinterval(old_interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+        assert arith._table == expected[: len(arith._table)]
 
 
 class TestSieve:
@@ -430,10 +445,18 @@ class TestSieve:
         assert [0, *map(s.largest_prime_power, range(1, limit + 1))] == old_largest_prime_power_table(limit)
 
     def test_matches_old_table_above_prime_table_cap(self):
+        shared = arith._table
         limit = PRIME_TABLE_CAP + 2
         s = build_sieve(limit)
+        assert arith._table is shared  # a table past the cap is the sieve's own
         assert [0, *map(s.largest_prime_power, range(1, limit + 1))] == old_largest_prime_power_table(limit)
         assert s.prime_powers[-2:] == [1048573, PRIME_TABLE_CAP]
+
+    def test_shares_the_table_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(arith, "_table", bytearray())
+        s = build_sieve(5000)
+        assert arith._table is s._is_prime and len(s._is_prime) == 5001
+        assert build_sieve(3000)._is_prime is s._is_prime  # a covered limit sieves nothing
 
     def test_rejects_small_limit(self):
         with pytest.raises(ParameterError):

@@ -115,25 +115,24 @@ REPORT_EXPONENTS = [0.535, 23 / 18, 0.0, -0.5, 0.999, 1.0, 3.0, 40.0]
 
 class TestBandGcd:
     def test_examples(self):
-        assert band_gcd(6, 0).gcd == 1
-        assert band_gcd(6, 1).gcd == 5
+        assert band_gcd(6, 0) == 1
+        assert band_gcd(6, 1) == 5
         for p, k in [(2, 2), (3, 1), (5, 1), (2, 4)]:
-            assert band_gcd(p**k, 0).gcd % p == 0
+            assert band_gcd(p**k, 0) % p == 0
 
     def test_against_materialized_band(self):
         for n in range(2, 81):
             for b in range(0, n // 2 + 2):
-                assert band_gcd(n, b).gcd == gcd_of_row_band(n, b)
+                assert band_gcd(n, b) == gcd_of_row_band(n, b)
 
     def test_gcd_divides_every_member(self):
         for n in (12, 35, 64, 97):
-            r = band_gcd(n, 1)
+            g = band_gcd(n, 1)
             for m in range(2, n - 1):
-                assert math.comb(n, m) % r.gcd == 0
+                assert math.comb(n, m) % g == 0
 
     def test_empty_band(self):
-        r = band_gcd(5, 2)
-        assert r.empty and r.gcd == 0
+        assert band_gcd(5, 2) == 0
 
 
 class TestMinBand:
@@ -146,9 +145,9 @@ class TestMinBand:
         # the exact bignum scan is the oracle over the acceptance range
         for n in range(2, 3001):
             b = min_band(n)
-            assert band_gcd(n, b).gcd > 1
+            assert band_gcd(n, b) > 1
             if b >= 1:
-                assert band_gcd(n, b - 1).gcd == 1
+                assert band_gcd(n, b - 1) == 1
 
     def test_large_rows_match_sieve_gaps(self):
         # rows above PRIME_TABLE_CAP = 2^20 take a fresh table, not the shared one
@@ -348,6 +347,20 @@ class TestVerifiers:
         records = verify_band_gap_identity(2)
         assert len(records) == 1 and records[0].band == 0
 
+    def test_identity_sieves_once(self, monkeypatch):
+        # build_sieve fills the shared table, so min_band's reads need no second sieve
+        prime_table = arith.prime_table
+        limits = []
+
+        def counting(limit):
+            limits.append(limit)
+            return prime_table(limit)
+
+        monkeypatch.setattr(arith, "_table", bytearray())
+        monkeypatch.setattr(arith, "prime_table", counting)
+        verify_band_gap_identity(3000)
+        assert limits == [3000]
+
     def test_small_range_explicit(self):
         for r in verify_band_gap_identity(30):
             assert r.gap <= max(r.n // 4, 1)
@@ -381,8 +394,7 @@ class TestVerifiers:
         band_gcd_exact = bands.band_gcd
 
         def coprime_at_27(n, b):
-            got = band_gcd_exact(n, b)
-            return got._replace(gcd=1) if n == 27 else got
+            return 1 if n == 27 else band_gcd_exact(n, b)
 
         monkeypatch.setattr(bands, "band_gcd", coprime_at_27)
         with pytest.raises(VerificationError, match=r"C\(27, m\) for 0 < m < 27 have gcd 1"):
@@ -463,25 +475,32 @@ class TestAsymptoticReport:
         assert report.ratio == report.partial_sum / 300.0
 
     def test_quarter_bound_controls_max_ratio(self):
-        report = asymptotic_report(100, 1.0)
+        report = asymptotic_report(100, 1.0, build_sieve(100))
         assert report.max_ratio <= 0.25
 
+    def test_short_sieve_is_rejected(self):
+        # as verify_quarter_bound: a sieve short of range_hi is an error, not rebuilt
+        with pytest.raises(ParameterError, match="sieve limit 99 below range_hi 100"):
+            asymptotic_report(100, 1.0, build_sieve(99))
+
     def test_finite_at_reference_exponents(self):
+        sieve = build_sieve(10**4)
         for e in (0.535, 23 / 18):
-            r = asymptotic_report(10**4, e)
+            r = asymptotic_report(10**4, e, sieve)
             assert math.isfinite(r.ratio) and math.isfinite(r.max_ratio)
 
     def test_rejects_exponents_outside_the_float_range(self):
         for hi, e in [(1000, -200.0), (10**5, 80.0), (10, math.inf), (10, -math.inf), (10, math.nan)]:
             with pytest.raises(ParameterError, match="exponent"):
-                asymptotic_report(hi, e)
+                asymptotic_report(hi, e, build_sieve(hi))
         # exponents inside that range whose partial-sum ratio still overflows
         for hi, e in [(1000, -102.0), (10**5, -61.0)]:
             with pytest.raises(ParameterError, match=f"exponent {e!r}"):
-                asymptotic_report(hi, e)
+                asymptotic_report(hi, e, build_sieve(hi))
         # the largest exponents at 10^5 that are accepted keep every ratio finite
+        sieve = build_sieve(10**5)
         for e in (61.0, -60.0):
-            r = asymptotic_report(10**5, e)
+            r = asymptotic_report(10**5, e, sieve)
             assert math.isfinite(r.ratio) and math.isfinite(r.max_ratio) and r.max_ratio > 0
 
 

@@ -30,7 +30,6 @@ def sample_records():
     transference = lattice.verify_transference(hexagonal)
     form = lattice.HomogeneousForm.from_terms(2, {(1, 1): 1})
     return [
-        bands.band_gcd(6, 0),
         bands.prime_power_gap(10, sieve),
         bands.asymptotic_report(100, 0.535, sieve),
         bounds.RATIONAL_FIELD,

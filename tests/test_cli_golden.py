@@ -41,7 +41,12 @@ COMMANDS = {
     "bands-single-n2310": ["bands", "single", "--n", "2310"],
     "bands-single-n10000000": ["bands", "single", "--n", "10000000"],
     "bands-verify-max200": ["bands", "verify", "--max", "200"],
+    "bands-verify-max3000": ["bands", "verify", "--max", "3000"],
     "bands-asymptotic-max10000": ["bands", "asymptotic", "--max", "10000"],
+    # e < 0 and e > 1 take the other branches of the stretch skip bound
+    "bands-asymptotic-max100000-exponents": [
+        "bands", "asymptotic", "--max", "100000", "--exponent", "-0.5", "--exponent", "1.0", "--exponent", "2.5"
+    ],
     **{
         f"bounds-{name}": ["bounds", *argv.split()]
         for name, argv in {

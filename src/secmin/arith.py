@@ -1,5 +1,5 @@
 """Exact integer substrate: binomial coefficients, base-p digit tests, carry-count
-p-adic valuations (one entry or a whole row), and a sorted prime-power sieve.
+p-adic valuations (one entry or a whole row), and a prime-power byte table.
 
 Primality has one table, the shared Eratosthenes table _table, and only a
 sieve extends it: primes_covering(n), which build_sieve calls, sieves exactly
@@ -7,14 +7,13 @@ to n when the table is short and rebinds the module name to the new table.  A
 table is replaced whole, never edited in place, so a thread that still holds
 the old one reads a complete table; nothing is sieved at import, and no table
 above PRIME_TABLE_CAP is stored.  is_prime only reads the table: a query past
-its end goes to trial division.  A PrimePowerSieve is immutable once built and
-safe to share across threads.
+its end goes to trial division.  A PrimePowerSieve holds bytes, immutable once
+built and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from itertools import compress
 
 from .errors import ParameterError, ResourceLimitError
@@ -64,8 +63,9 @@ def kummer_valuation(n: int, m: int, p: int) -> int:
 
     Adding m and n-m carries out of digit k-1 exactly when m mod p^k exceeds
     n mod p^k, so this counts those k >= 1; none qualifies once p^k > n, so for
-    p^2 > n it is one last-digit comparison.  O(log_p n).  Only the tests and
-    the bench's pascal-rows workload call it; the suite goes through carry_row.
+    p^2 > n it is one last-digit comparison.  O(log_p n).  The suite uses
+    carry_row; this stays because the bench's pascal-rows workload and the tests
+    ask for single entries (a row costs O(n)), and the tests hold carry_row to it.
     """
     t = _table  # read inline: is_prime only for p outside the table or not marked prime
     if not (0 <= p < len(t) and t[p] or is_prime(p)):
@@ -124,25 +124,26 @@ def largest_undivided(n: int, cap: int, p: int) -> int:
 
 
 class PrimePowerSieve:
-    """Primality table plus prime_powers, the sorted p^k <= limit with k >= 1.
+    """The primality table and is_prime_power, limit + 1 bytes: entry n is 1 iff
+    n = p^k with p prime and k >= 1.
 
-    largest_prime_power(n) is a binary search in it; range scans walk the
-    stretches between consecutive prime powers.  Immutable: do not modify it.
+    The largest prime power <= n is the last 1 at or before n, one C-level
+    bytes.rfind; range scans search the zero runs between the 1s with
+    bytes.find.  Immutable: bytes, and the primality table is never edited.
     """
 
-    __slots__ = ("limit", "_is_prime", "prime_powers")
+    __slots__ = ("limit", "_is_prime", "is_prime_power")
 
-    def __init__(self, limit: int, is_prime_table: bytearray, prime_powers: list[int]):
+    def __init__(self, limit: int, is_prime_table: bytearray, is_prime_power: bytes):
         self.limit = limit
         self._is_prime = is_prime_table
-        self.prime_powers = prime_powers
+        self.is_prime_power = is_prime_power
 
     def largest_prime_power(self, n: int) -> int:
         """Largest p^k <= n, or 0 for n = 1."""
         if n < 1 or n > self.limit:
             raise ParameterError(f"n={n} outside sieve range [1, {self.limit}]")
-        i = bisect_right(self.prime_powers, n)
-        return self.prime_powers[i - 1] if i else 0
+        return max(self.is_prime_power.rfind(1, 0, n + 1), 0)
 
     def primes(self) -> list[int]:
         return list(compress(range(self.limit + 1), self._is_prime))
@@ -182,21 +183,21 @@ def primes_covering(n: int) -> bytearray:
 def build_sieve(limit: int) -> PrimePowerSieve:
     """Build a PrimePowerSieve covering [1, limit]; limit >= 2.
 
-    Its table is primes_covering(limit), so up to PRIME_TABLE_CAP the sieve
-    and is_prime read the same table, which may run past limit.
+    Its primality table is primes_covering(limit), so up to PRIME_TABLE_CAP
+    the sieve and is_prime read the same table, which may run past limit.  The
+    prime-power table copies its first limit + 1 bytes and sets each p^k, k >= 2.
     """
     if limit < 2:
         raise ParameterError(f"sieve limit must be >= 2, got {limit}")
     table = primes_covering(limit)
+    root = math.isqrt(limit)
     try:
-        powers = list(compress(range(limit + 1), table))
-        # only primes <= sqrt(limit) have a higher power <= limit
-        for p in powers[: bisect_right(powers, math.isqrt(limit))]:
+        powers = table[: limit + 1]
+        for p in compress(range(root + 1), table[: root + 1]):
             q = p * p
             while q <= limit:
-                powers.append(q)
+                powers[q] = 1
                 q *= p
-        powers.sort()
+        return PrimePowerSieve(limit, table, bytes(powers))
     except MemoryError as exc:
         raise ResourceLimitError(f"sieve limit {limit} exhausted memory") from exc
-    return PrimePowerSieve(limit, table, powers)

@@ -15,17 +15,18 @@ found from that prime and the powers of the primes <= sqrt(n) with no table
 up to n.
 band_gcd keeps the exact bignum GCD scan as the oracle the tests hold it to.
 
-Range verifications are deterministic and embarrassingly parallel over n; the
-implementations are serial.
+Range verifications read the sieve's prime-power byte table with C-level
+bytes.find/rfind; they are deterministic and embarrassingly parallel over n.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from collections import Counter
 from itertools import compress
 from typing import NamedTuple
 
+from . import arith
 from .arith import PrimePowerSieve, build_sieve, is_prime, largest_undivided, primes_covering
 from .errors import ParameterError, VerificationError
 
@@ -135,7 +136,8 @@ def prime_band(n: int, p: int) -> int:
     """
     if n < 2:
         raise ParameterError(f"prime_band needs n >= 2, got {n}")
-    if not is_prime(p):
+    t = arith._table  # read inline, as kummer_valuation does: is_prime only off the table
+    if not (0 <= p < len(t) and t[p] or is_prime(p)):
         raise ParameterError(f"p must be prime, got {p}")
     if p > n:
         raise ParameterError(f"prime_band needs p <= n, got p={p}, n={n}")
@@ -165,59 +167,71 @@ def verify_band_gap_identity(range_hi: int) -> list[BandGapRecord]:
     return records
 
 
-def _stretches(range_hi: int, lo: int, sieve: PrimePowerSieve):
-    """(P, E) for the stretches of [lo, range_hi] from the one holding lo: P a prime
-    power, E the last n before the next one or range_hi.  On it gap(n) = n - P."""
+def _powers_to(range_hi: int, sieve: PrimePowerSieve) -> bytes:
     if sieve.limit < range_hi:
         raise ParameterError(f"sieve limit {sieve.limit} below range_hi {range_hi}")
-    pp = sieve.prime_powers
-    first = bisect_right(pp, lo) - 1
-    last = bisect_right(pp, range_hi)
-    return zip(pp[first:last], [q - 1 for q in pp[first + 1 : last]] + [range_hi])
+    return sieve.is_prime_power
 
 
 def verify_quarter_bound(range_hi: int, sieve: PrimePowerSieve) -> bool:
     """True iff gap(n) <= n/4 for all 30 <= n <= range_hi.
 
-    Decided one stretch at a time: across a stretch gap(n)/n = 1 - P/n rises
-    with n, so the bound holds on the whole stretch exactly when it holds at
-    its end E, the integer test 4*(E - P) <= E.
+    Per block [lo, 2lo), k = lo//4: no run of k + 1 zeros in [lo - k, 2lo) (one
+    bytes.find) puts a prime power in each window [n - k, n], so gap(n) <= k.  A
+    block where the search finds one is tested per stretch: gap(n)/n = 1 - P/n
+    rises along it, so the bound holds iff 4*(E - P) <= E at each E before a P.
     """
     if range_hi < 30:
         raise ParameterError(f"quarter bound check needs range_hi >= 30, got {range_hi}")
-    return all(4 * (end - p) <= end for p, end in _stretches(range_hi, 30, sieve))
+    t = _powers_to(range_hi, sieve)
+    for lo in (30 << j for j in range((range_hi // 30).bit_length())):
+        hi, k = min(2 * lo, range_hi + 1), lo // 4
+        if t.find(bytes(k + 1), lo - k, hi) >= 0:
+            ends = [q - 1 for q in compress(range(lo + 1, hi), t[lo + 1 : hi])] + [hi - 1]
+            if any(4 * (e - t.rfind(1, 0, e + 1)) > e for e in ends):
+                return False
+    return True
 
 
 def asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve) -> GapSumReport:
     """Partial sums and pointwise maxima of the gap function, scaled by n^exponent.
 
     |exponent|*ln(range_hi) <= 708 keeps every n**exponent a normal float, and a
-    ratio that still overflows raises ParameterError as well.  Each
-    stretch [P, E], w = E - P, adds w(w+1)/2 to the sum.  Its ratios
-    (n - P)/n**exponent are at most w over the smaller of P**exponent and
-    E**exponent, which is P**exponent for exponent >= 0 and E**exponent below;
-    a stretch whose bound is below the running maximum by a relative 1e-9, far
-    above the few ulps of rounding, is skipped.  The rest are scanned per n
-    with the same expression and strict > as a scan of every n, so max_ratio and
-    argmax are bit-identical to it.
+    ratio that still overflows raises ParameterError as well.  A prime power P
+    and the w zeros after it in the table are the stretch [P, E = P + w], where
+    gap(n) = n - P; the sum adds w(w+1)/2 per run, counted by run length at C
+    speed.  The ratios are at most w/x**exponent, x = P (exponent >= 0) or E; a
+    stretch whose bound is below the running maximum M by a relative 1e-9, far
+    above the few ulps of rounding, is skipped, and the rest are scanned per n
+    as a scan of every n does, so the report is bit-identical to it.  A block
+    [lo, 2lo) of starts P only looks (bytes.find) at runs of at least
+    M*(1 - 2e-9)*x**exponent, x = lo (range_hi below 0), M at the block's start:
+    the skip test skips any shorter run too, but w = 0, which cannot beat M.
     """
     if range_hi < 2:
         raise ParameterError(f"range_hi must be >= 2, got {range_hi}")
     if not math.isfinite(exponent) or abs(exponent) * math.log(range_hi) > 708:
         raise ParameterError(f"exponent {exponent!r} leaves n**exponent outside the float range up to n={range_hi}")
-    total = 0
-    max_ratio = -1.0
-    argmax = 2
-    for p, end in _stretches(range_hi, 2, sieve):
-        w = end - p
-        total += w * (w + 1) // 2
-        if w / (p if exponent >= 0 else end) ** exponent < max_ratio * (1 - 1e-9):
-            continue
-        for n in range(p, end + 1):
-            r = (n - p) / n**exponent
-            if r > max_ratio:
-                max_ratio = r
-                argmax = n
+    t = _powers_to(range_hi, sieve)
+    total = sum(c * w * (w + 1) // 2 for w, c in Counter(map(len, t[2 : range_hi + 1].split(b"\x01"))).items())
+    max_ratio, argmax = 0.0, 2  # the scan of every n after n = 2
+    for lo in (2 << j for j in range((range_hi // 2).bit_length())):
+        width = max(math.ceil(max_ratio * (1 - 2e-9) * (lo if exponent >= 0 else range_hi) ** exponent), 1)
+        if width > range_hi:
+            break  # M and lo only grow, so no later block has a run this long
+        zeros, stop = bytes(width), min(2 * lo + width, range_hi + 1)
+        i = t.find(zeros, lo + 1, stop)
+        while i >= 0:
+            p = t.rfind(1, 0, i)  # below lo for a run reaching in from the block before: seen again, to no effect
+            q = t.find(1, i, range_hi + 1)
+            end = q - 1 if q >= 0 else range_hi
+            if (end - p) / (p if exponent >= 0 else end) ** exponent >= max_ratio * (1 - 1e-9):
+                for n in range(p, end + 1):
+                    r = (n - p) / n**exponent
+                    if r > max_ratio:
+                        max_ratio = r
+                        argmax = n
+            i = t.find(zeros, end + 2, stop)
     ratio = total / range_hi**exponent
     if not (math.isfinite(ratio) and math.isfinite(max_ratio)):
         raise ParameterError(f"exponent {exponent!r} sends the ratios past the float range up to n={range_hi}")

@@ -93,7 +93,7 @@ def check_band_gap_identity(hi: int) -> str:
 
 def check_prime_power_vanishing(hi: int) -> str:
     """The definition at each prime power q: the binomials C(q, m), 0 < m < q, share a divisor."""
-    prime_powers = arith.build_sieve(hi).prime_powers
+    prime_powers = [q for q, marked in enumerate(arith.build_sieve(hi).is_prime_power) if marked]
     for q in prime_powers:
         if bands.band_gcd(q, 0) == 1:
             raise VerificationError(f"C({q}, m) for 0 < m < {q} have gcd 1, expected band 0")

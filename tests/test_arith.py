@@ -5,6 +5,7 @@ import struct
 import sys
 import threading
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -66,6 +67,17 @@ def old_largest_prime_power_table(limit: int) -> list[int]:
     for n in range(3, limit + 1):
         lpp[n] = max(lpp[n], lpp[n - 1])
     return lpp
+
+
+def old_prime_powers(limit: int) -> list[int]:
+    """Test oracle, the former sorted prime-power list: the primes, then the higher powers of those <= sqrt."""
+    powers = list(compress(range(limit + 1), prime_table(limit)))
+    for p in [p for p in powers if p * p <= limit]:
+        q = p * p
+        while q <= limit:
+            powers.append(q)
+            q *= p
+    return sorted(powers)
 
 
 def lanes(row: int, n: int) -> list[int]:
@@ -394,12 +406,13 @@ class TestSieve:
     def test_small_table(self):
         s = build_sieve(10)
         assert [s.largest_prime_power(n) for n in range(1, 11)] == [0, 2, 3, 4, 5, 5, 7, 8, 9, 9]
-        assert s.prime_powers == [2, 3, 4, 5, 7, 8, 9]
-        assert s.prime_powers is s.prime_powers  # no copy per access
+        assert list(compress(range(11), s.is_prime_power)) == [2, 3, 4, 5, 7, 8, 9]
+        assert type(s.is_prime_power) is bytes and len(s.is_prime_power) == 11
+        assert s.is_prime_power is s.is_prime_power  # no copy per access
 
     def test_limit_two(self):
         s = build_sieve(2)
-        assert s.primes() == [2] and s.prime_powers == [2]
+        assert s.primes() == [2] and s.is_prime_power == b"\x00\x00\x01"
 
     def test_primality_agrees_with_trial_division(self):
         s = build_sieve(2000)
@@ -435,7 +448,7 @@ class TestSieve:
                         is_pp = True
                         break
             assert (s.largest_prime_power(n) == n) == is_pp
-            assert (n in s.prime_powers) == is_pp
+            assert (s.is_prime_power[n] == 1) == is_pp
 
     @given(st.integers(min_value=2, max_value=5000))
     @example(2)
@@ -443,6 +456,7 @@ class TestSieve:
     def test_matches_old_table(self, limit):
         s = build_sieve(limit)
         assert [0, *map(s.largest_prime_power, range(1, limit + 1))] == old_largest_prime_power_table(limit)
+        assert list(compress(range(limit + 1), s.is_prime_power)) == old_prime_powers(limit)
 
     def test_matches_old_table_above_prime_table_cap(self):
         shared = arith._table
@@ -450,12 +464,15 @@ class TestSieve:
         s = build_sieve(limit)
         assert arith._table is shared  # a table past the cap is the sieve's own
         assert [0, *map(s.largest_prime_power, range(1, limit + 1))] == old_largest_prime_power_table(limit)
-        assert s.prime_powers[-2:] == [1048573, PRIME_TABLE_CAP]
+        tail = range(1048572, limit + 1)  # 1048571 is the prime before
+        assert list(compress(tail, s.is_prime_power[tail.start :])) == [1048573, PRIME_TABLE_CAP]
 
     def test_shares_the_table_up_to_the_cap(self, monkeypatch):
         monkeypatch.setattr(arith, "_table", bytearray())
         s = build_sieve(5000)
         assert arith._table is s._is_prime and len(s._is_prime) == 5001
+        # the prime powers are marked in a copy: the shared table still says 4 = 2^2 is not prime
+        assert s.is_prime_power[4] == 1 and arith._table[4] == 0 and not is_prime(4)
         assert build_sieve(3000)._is_prime is s._is_prime  # a covered limit sieves nothing
 
     def test_rejects_small_limit(self):

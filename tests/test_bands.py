@@ -2,6 +2,7 @@
 identities, reports."""
 
 import math
+from bisect import bisect_right
 from itertools import compress
 
 import pytest
@@ -77,21 +78,37 @@ def brute_largest_prime_power(n: int) -> int:
     raise AssertionError(f"no prime power below {n}")
 
 
-def scan_quarter_bound(range_hi: int, sieve: PrimePowerSieve) -> int | None:
+def listed_prime_powers(sieve: PrimePowerSieve) -> list[int]:
+    """The sieve's prime powers as the former sorted list."""
+    return list(compress(range(sieve.limit + 1), sieve.is_prime_power))
+
+
+def power_table(limit: int, points) -> bytes:
+    """A prime-power table over [0, limit] with exactly the given points set."""
+    return bytes(n in points for n in range(limit + 1))
+
+
+def largest_listed(pp: list[int], n: int) -> int:
+    """The former largest_prime_power: a binary search in the sorted list."""
+    i = bisect_right(pp, n)
+    return pp[i - 1] if i else 0
+
+
+def scan_quarter_bound(range_hi: int, pp: list[int]) -> int | None:
     """Test oracle, the former scan of every n: the first n >= 30 with gap(n) > n/4."""
     for n in range(30, range_hi + 1):
-        if 4 * (n - sieve.largest_prime_power(n)) > n:
+        if 4 * (n - largest_listed(pp, n)) > n:
             return n
     return None
 
 
-def scan_asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve) -> GapSumReport:
+def scan_asymptotic_report(range_hi: int, exponent: float, pp: list[int]) -> GapSumReport:
     """Test oracle, the former scan of every n for asymptotic_report."""
     total = 0
     max_ratio = -1.0
     argmax = 2
     for n in range(2, range_hi + 1):
-        c = n - sieve.largest_prime_power(n)
+        c = n - largest_listed(pp, n)
         total += c
         r = c / n**exponent
         if r > max_ratio:
@@ -100,14 +117,56 @@ def scan_asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSiev
     return GapSumReport(range_hi, total, exponent, total / range_hi**exponent, max_ratio, argmax)
 
 
+def stretches(range_hi: int, lo: int, pp: list[int]):
+    """The former stretch walk: (P, E) for the stretches of [lo, range_hi] from the one
+    holding lo, P a prime power and E the last n before the next one or range_hi."""
+    first = bisect_right(pp, lo) - 1
+    last = bisect_right(pp, range_hi)
+    return zip(pp[first:last], [q - 1 for q in pp[first + 1 : last]] + [range_hi])
+
+
+def stretch_quarter_bound(range_hi: int, pp: list[int]) -> bool:
+    """Test oracle, the former per-stretch test: 4*(E - P) <= E at every stretch's end."""
+    return all(4 * (end - p) <= end for p, end in stretches(range_hi, 30, pp))
+
+
+def stretch_asymptotic_report(range_hi: int, exponent: float, pp: list[int]) -> GapSumReport:
+    """Test oracle, the former asymptotic_report: every stretch through the skip test."""
+    total = 0
+    max_ratio = -1.0
+    argmax = 2
+    for p, end in stretches(range_hi, 2, pp):
+        w = end - p
+        total += w * (w + 1) // 2
+        if w / (p if exponent >= 0 else end) ** exponent < max_ratio * (1 - 1e-9):
+            continue
+        for n in range(p, end + 1):
+            r = (n - p) / n**exponent
+            if r > max_ratio:
+                max_ratio = r
+                argmax = n
+    return GapSumReport(range_hi, total, exponent, total / range_hi**exponent, max_ratio, argmax)
+
+
+def assert_quarter_bound_matches_scans(range_hi: int, sieve: PrimePowerSieve) -> int | None:
+    """verify_quarter_bound against both oracles; returns the scan's first failing n."""
+    pp = listed_prime_powers(sieve)
+    first_bad = scan_quarter_bound(range_hi, pp)
+    assert verify_quarter_bound(range_hi, sieve) == stretch_quarter_bound(range_hi, pp) == (first_bad is None)
+    return first_bad
+
+
 def assert_report_matches_scan(range_hi: int, exponent: float, sieve: PrimePowerSieve) -> None:
-    """Equal reports, floats compared as exact bit patterns (0.0 != -0.0)."""
+    """Equal reports from the table, the stretch walk and the scan of every n,
+    floats compared as exact bit patterns (0.0 != -0.0)."""
 
     def bits(report: GapSumReport) -> tuple:
         return tuple(v.hex() if isinstance(v, float) else v for v in report._asdict().values())
 
-    got = asymptotic_report(range_hi, exponent, sieve)
-    assert bits(got) == bits(scan_asymptotic_report(range_hi, exponent, sieve))
+    pp = listed_prime_powers(sieve)
+    got = bits(asymptotic_report(range_hi, exponent, sieve))
+    assert got == bits(stretch_asymptotic_report(range_hi, exponent, pp))
+    assert got == bits(scan_asymptotic_report(range_hi, exponent, pp))
 
 
 REPORT_EXPONENTS = [0.535, 23 / 18, 0.0, -0.5, 0.999, 1.0, 3.0, 40.0]
@@ -333,8 +392,37 @@ class TestPrimeBand:
 
         monkeypatch.setattr(arith, "is_prime", counting)
         monkeypatch.setattr(bands, "is_prime", counting)
+        # a p on the shared table is read from it inline, as kummer_valuation does
+        monkeypatch.setattr(arith, "_table", arith.prime_table(100))
+        assert prime_band(50, 7) == 1
+        assert calls == []
+        # off the table, is_prime is asked once
+        monkeypatch.setattr(arith, "_table", bytearray())
         assert prime_band(50, 7) == 1
         assert calls == [7]
+
+    @settings(deadline=None)
+    @given(
+        st.one_of(
+            st.sampled_from([-7, -1, 0, 1, 4, 9, 49, 101, 1048583]),
+            st.integers(min_value=-300, max_value=300),
+        ),
+        st.sampled_from([0, 2, 64, 200]),
+    )
+    @example(-62, 64)  # unguarded, would read entry 65 - 62 = 3 of the table
+    @example(101, 64)  # a prime past the table's end
+    @example(99, 64)  # a composite past the table's end
+    def test_validation_as_is_prime(self, p, table_limit):
+        # rejects p exactly when is_prime does, with the same message, whatever
+        # the length of the shared table
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "_table", arith.prime_table(table_limit) if table_limit else bytearray())
+            n = max(abs(p), 2)
+            if is_prime(p):
+                assert prime_band(n, p) == largest_undivided(n, n // 2, p)
+            else:
+                with pytest.raises(ParameterError, match=rf"^p must be prime, got {p}$"):
+                    prime_band(n, p)
 
 
 class TestVerifiers:
@@ -403,7 +491,8 @@ class TestVerifiers:
 
 
 class TestStretchScans:
-    """The stride scans over prime powers against the former scans of every n."""
+    """The block scans of the prime-power table against the former stretch walk
+    over the sorted list and the former scans of every n."""
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=30, max_value=2 * 10**4))
@@ -411,8 +500,7 @@ class TestStretchScans:
     @example(31)
     @example(2 * 10**4)
     def test_quarter_bound_matches_scan(self, range_hi):
-        sieve = build_sieve(range_hi)
-        assert verify_quarter_bound(range_hi, sieve) == (scan_quarter_bound(range_hi, sieve) is None)
+        assert_quarter_bound_matches_scans(range_hi, build_sieve(range_hi))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -424,6 +512,12 @@ class TestStretchScans:
     @example(2 * 10**4, 40.0)
     @example(2 * 10**4, -3.0)
     @example(10**4, 5e-324)
+    # the largest exponents accepted at 10^5: the block threshold's x**exponent
+    # nears the float range's ends, and past the first blocks no run reaches it
+    @example(10**5, 61.0)
+    @example(10**5, -60.0)
+    @example(10**5, 40.0)
+    @example(10**5, 5e-324)
     def test_asymptotic_report_matches_scan(self, range_hi, exponent):
         sieve = build_sieve(range_hi)
         assert_report_matches_scan(range_hi, exponent, sieve)
@@ -432,12 +526,11 @@ class TestStretchScans:
     @given(st.integers(min_value=1, max_value=200), st.integers(min_value=1, max_value=60))
     @example(193, 56)  # drops 1009..1381, the fixed case below: first failure at n = 1330
     def test_dropped_prime_powers_fail_at_the_same_place(self, start, count):
-        # a sieve missing prime powers (keeping 2): both scans read the same wrong gaps
+        # a table missing prime powers (keeping 2): all scans read the same wrong gaps
         full = build_sieve(3000)
-        pp = full.prime_powers
-        damaged = PrimePowerSieve(3000, full._is_prime, pp[:start] + pp[start + count :])
-        first_bad = scan_quarter_bound(3000, damaged)
-        assert verify_quarter_bound(3000, damaged) == (first_bad is None)
+        pp = listed_prime_powers(full)
+        damaged = PrimePowerSieve(3000, full._is_prime, power_table(3000, pp[:start] + pp[start + count :]))
+        first_bad = assert_quarter_bound_matches_scans(3000, damaged)
         if first_bad is not None:
             assert not verify_quarter_bound(first_bad, damaged)
             assert first_bad == 30 or verify_quarter_bound(first_bad - 1, damaged)
@@ -450,20 +543,31 @@ class TestStretchScans:
         st.one_of(st.sampled_from(REPORT_EXPONENTS), st.floats(min_value=-3, max_value=3)),
     )
     @example({11, 258, 261}, -3.0)  # fails if the skip bound divides by the larger power
+    # the stretch [60, 69] starts in block [32, 64) and its zero run reaches over 64
+    @example({3, 4, 5, 7, 60, 70}, 0.535)
+    @example({3, 4, 5, 7, 60, 70}, -0.5)
+    # runs over the quarter bound's block edges 60, 120 and 240
+    @example({3, 4, 5, 7, 50, 58, 100, 130, 200, 250}, 1.0)
     def test_any_staircase_matches_scan(self, points, exponent):
-        # the skip bound holds for any sorted list of stretch starts, not only
-        # the prime powers' short stretches
-        sieve = PrimePowerSieve(400, bytearray(401), sorted(points | {2}))
+        # the skip bound and both block tests hold for any table with 2 set,
+        # not only the prime powers' short stretches
+        sieve = PrimePowerSieve(400, bytearray(401), power_table(400, points | {2}))
         assert_report_matches_scan(400, exponent, sieve)
+        first_bad = assert_quarter_bound_matches_scans(400, sieve)
+        if first_bad is not None:
+            assert not verify_quarter_bound(first_bad, sieve)
+            assert first_bad == 30 or verify_quarter_bound(first_bad - 1, sieve)
 
     def test_dropped_prime_powers_fixed_case(self):
         # without the prime powers in (1000, 1400), n on [997, 1408] reads P = 997
         # and 4*(n - 997) > n first at n = 1330
         full = build_sieve(3000)
-        damaged = PrimePowerSieve(3000, full._is_prime, [q for q in full.prime_powers if not 1000 < q < 1400])
-        assert scan_quarter_bound(3000, damaged) == 1330
+        kept = [q for q in listed_prime_powers(full) if not 1000 < q < 1400]
+        damaged = PrimePowerSieve(3000, full._is_prime, power_table(3000, kept))
+        assert scan_quarter_bound(3000, kept) == 1330
         assert verify_quarter_bound(1329, damaged)
         assert not verify_quarter_bound(1330, damaged)
+        assert damaged.largest_prime_power(1408) == 997
 
 
 class TestAsymptoticReport:

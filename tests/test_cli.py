@@ -221,6 +221,18 @@ class TestLatticeCommand:
         code, _ = run(capsys, "lattice", "avoid", "--gram", str(DATA / "identity2.gram"))
         assert code == 2
 
+    def test_heights_above_height_max_rank_exits_2(self, capsys, tmp_path):
+        # minima accept rank <= MAX_RANK = 6, heights and transference rank <= HEIGHT_MAX_RANK = 4
+        gram = tmp_path / "identity5.gram"
+        gram.write_text("5\n" + "".join(" ".join("1" if i == j else "0" for j in range(5)) + "\n" for i in range(5)))
+        code = cli.main(["lattice", "heights", "--gram", str(gram)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "status=fail\n"
+        assert captured.err == "error=sublattice heights support rank <= 4, got 5\n"
+        code, out = run(capsys, "lattice", "minima", "--gram", str(gram))
+        assert code == 0 and parse_kv(out.splitlines()[0])["sq_minima"] == "1,1,1,1,1"
+
     @pytest.mark.parametrize("name", ["missing", "directory", "not-utf8"])
     def test_missing_file_exits_2(self, capsys, tmp_path, name):
         # an absent path, a directory and a file that is not UTF-8 are input errors, not falsified checks

@@ -177,9 +177,9 @@ def verify_quarter_bound(range_hi: int, sieve: PrimePowerSieve) -> bool:
     """True iff gap(n) <= n/4 for all 30 <= n <= range_hi.
 
     Per block [lo, 2lo), k = lo//4: no run of k + 1 zeros in [lo - k, 2lo) (one
-    bytes.find) puts a prime power in each window [n - k, n], so gap(n) <= k.  A
-    block where the search finds one is tested per stretch: gap(n)/n = 1 - P/n
-    rises along it, so the bound holds iff 4*(E - P) <= E at each E before a P.
+    bytes.find) puts a prime power in each window [n - k, n], so gap(n) <= k <= n/4.
+    Where the search finds one, gap(n)/n = 1 - P/n rises along each stretch, so
+    the bound holds iff 4*(E - P) <= E at each E before a P and at the block's end.
     """
     if range_hi < 30:
         raise ParameterError(f"quarter bound check needs range_hi >= 30, got {range_hi}")

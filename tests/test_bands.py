@@ -85,6 +85,7 @@ def listed_prime_powers(sieve: PrimePowerSieve) -> list[int]:
 
 def power_table(limit: int, points) -> bytes:
     """A prime-power table over [0, limit] with exactly the given points set."""
+    points = set(points)
     return bytes(n in points for n in range(limit + 1))
 
 

@@ -58,6 +58,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(p: int) -> None:
+    """ParameterError unless p is prime: p on the shared table is read from it, is_prime only off it."""
+    t = _table
+    if not (0 <= p < len(t) and t[p] or is_prime(p)):
+        raise ParameterError(f"p must be prime, got {p}")
+
+
 def kummer_valuation(n: int, m: int, p: int) -> int:
     """v_p(C(n, m)) as the number of carries when adding m and n-m in base p.
 
@@ -67,7 +74,7 @@ def kummer_valuation(n: int, m: int, p: int) -> int:
     carry_row; this stays because the bench's pascal-rows workload and the tests
     ask for single entries (a row costs O(n)), and the tests hold carry_row to it.
     """
-    t = _table  # read inline: is_prime only for p outside the table or not marked prime
+    t = _table  # require_prime inline: pascal-rows asks for eight entries per prime and row
     if not (0 <= p < len(t) and t[p] or is_prime(p)):
         raise ParameterError(f"p must be prime, got {p}")
     if m < 0 or m > n:
@@ -90,8 +97,7 @@ def carry_row(n: int, p: int) -> int:
     m: one period (n mod q + 1 zeros, then ones) tiled along the row.  Summing
     them carries no lane into the next, since an entry is at most log_p n.
     """
-    if not is_prime(p):
-        raise ParameterError(f"p must be prime, got {p}")
+    require_prime(p)
     if n < 0:
         raise ParameterError(f"need n >= 0, got n={n}")
     total = 0
@@ -125,11 +131,9 @@ def largest_undivided(n: int, cap: int, p: int) -> int:
 
 class PrimePowerSieve:
     """The primality table and is_prime_power, limit + 1 bytes: entry n is 1 iff
-    n = p^k with p prime and k >= 1.
-
-    The largest prime power <= n is the last 1 at or before n, one C-level
-    bytes.rfind; range scans search the zero runs between the 1s with
-    bytes.find.  Immutable: bytes, and the primality table is never edited.
+    n = p^k, p prime, k >= 1.  The largest prime power <= n is the last 1 at or
+    before n, one C-level bytes.rfind; range scans search the zero runs between
+    the 1s with bytes.find.  Immutable: bytes, and the primality table is never edited.
     """
 
     __slots__ = ("limit", "_is_prime", "is_prime_power")

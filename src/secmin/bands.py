@@ -26,8 +26,7 @@ from collections import Counter
 from itertools import compress
 from typing import NamedTuple
 
-from . import arith
-from .arith import PrimePowerSieve, build_sieve, is_prime, largest_undivided, primes_covering
+from .arith import PrimePowerSieve, build_sieve, is_prime, largest_undivided, primes_covering, require_prime
 from .errors import ParameterError, VerificationError
 
 
@@ -136,9 +135,7 @@ def prime_band(n: int, p: int) -> int:
     """
     if n < 2:
         raise ParameterError(f"prime_band needs n >= 2, got {n}")
-    t = arith._table  # read inline, as kummer_valuation does: is_prime only off the table
-    if not (0 <= p < len(t) and t[p] or is_prime(p)):
-        raise ParameterError(f"p must be prime, got {p}")
+    require_prime(p)
     if p > n:
         raise ParameterError(f"prime_band needs p <= n, got p={p}, n={n}")
     cap = n // 2
@@ -167,7 +164,7 @@ def verify_band_gap_identity(range_hi: int) -> list[BandGapRecord]:
     return records
 
 
-def _powers_to(range_hi: int, sieve: PrimePowerSieve) -> bytes:
+def _covering_table(range_hi: int, sieve: PrimePowerSieve) -> bytes:
     if sieve.limit < range_hi:
         raise ParameterError(f"sieve limit {sieve.limit} below range_hi {range_hi}")
     return sieve.is_prime_power
@@ -183,7 +180,7 @@ def verify_quarter_bound(range_hi: int, sieve: PrimePowerSieve) -> bool:
     """
     if range_hi < 30:
         raise ParameterError(f"quarter bound check needs range_hi >= 30, got {range_hi}")
-    t = _powers_to(range_hi, sieve)
+    t = _covering_table(range_hi, sieve)
     for lo in (30 << j for j in range((range_hi // 30).bit_length())):
         hi, k = min(2 * lo, range_hi + 1), lo // 4
         if t.find(bytes(k + 1), lo - k, hi) >= 0:
@@ -198,28 +195,27 @@ def asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve) ->
 
     |exponent|*ln(range_hi) <= 708 keeps every n**exponent a normal float, and a
     ratio that still overflows raises ParameterError as well.  A prime power P
-    and the w zeros after it in the table are the stretch [P, E = P + w], where
-    gap(n) = n - P; the sum adds w(w+1)/2 per run, counted by run length at C
-    speed.  The ratios are at most w/x**exponent, x = P (exponent >= 0) or E; a
-    stretch whose bound is below the running maximum M by a relative 1e-9, far
-    above the few ulps of rounding, is skipped, and the rest are scanned per n
-    as a scan of every n does, so the report is bit-identical to it.  A block
-    [lo, 2lo) of starts P only looks (bytes.find) at runs of at least
-    M*(1 - 2e-9)*x**exponent, x = lo (range_hi below 0), M at the block's start:
-    the skip test skips any shorter run too, but w = 0, which cannot beat M.
+    and the w zeros after it are the stretch [P, E = P + w], where gap(n) = n - P;
+    the sum adds w(w+1)/2 per run, counted by run length at C speed.  Its ratios
+    are at most w/x**exponent, x <= P (x >= E below 0); a stretch whose bound is
+    below the running maximum M by a relative 1e-9, far above rounding, cannot
+    reach M and is skipped: per block [lo, 2lo) of P by bytes.find (x = lo or
+    range_hi, M at its start), then per run (x = P or E).  The rest are scanned per n in
+    order with strict >, so the report is bit-identical to a scan of every n.
     """
     if range_hi < 2:
         raise ParameterError(f"range_hi must be >= 2, got {range_hi}")
     if not math.isfinite(exponent) or abs(exponent) * math.log(range_hi) > 708:
         raise ParameterError(f"exponent {exponent!r} leaves n**exponent outside the float range up to n={range_hi}")
-    t = _powers_to(range_hi, sieve)
+    t = _covering_table(range_hi, sieve)
     total = sum(c * w * (w + 1) // 2 for w, c in Counter(map(len, t[2 : range_hi + 1].split(b"\x01"))).items())
     max_ratio, argmax = 0.0, 2  # the scan of every n after n = 2
     for lo in (2 << j for j in range((range_hi // 2).bit_length())):
-        width = max(math.ceil(max_ratio * (1 - 2e-9) * (lo if exponent >= 0 else range_hi) ** exponent), 1)
-        if width > range_hi:
+        least = max_ratio * (1 - 1e-9) * (lo if exponent >= 0 else range_hi) ** exponent
+        if least > range_hi:  # before ceil: an inf M ends the loop and raises below
             break  # M and lo only grow, so no later block has a run this long
-        zeros, stop = bytes(width), min(2 * lo + width, range_hi + 1)
+        zeros = bytes(max(math.ceil(least), 1))
+        stop = min(2 * lo + len(zeros), range_hi + 1)
         i = t.find(zeros, lo + 1, stop)
         while i >= 0:
             p = t.rfind(1, 0, i)  # below lo for a run reaching in from the block before: seen again, to no effect
@@ -229,8 +225,7 @@ def asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve) ->
                 for n in range(p, end + 1):
                     r = (n - p) / n**exponent
                     if r > max_ratio:
-                        max_ratio = r
-                        argmax = n
+                        max_ratio, argmax = r, n
             i = t.find(zeros, end + 2, stop)
     ratio = total / range_hi**exponent
     if not (math.isfinite(ratio) and math.isfinite(max_ratio)):

@@ -549,6 +549,9 @@ class TestStretchScans:
     @example({3, 4, 5, 7, 60, 70}, -0.5)
     # runs over the quarter bound's block edges 60, 120 and 240
     @example({3, 4, 5, 7, 50, 58, 100, 130, 200, 250}, 1.0)
+    # two longest runs, [40, 50] and [200, 210]: the later one beats the first
+    # by about 1.4e-7 relative, so a skip margin above 1 would keep argmax at 50
+    @example(set(range(3, 401)) - set(range(41, 51)) - set(range(201, 211)), -1e-7)
     def test_any_staircase_matches_scan(self, points, exponent):
         # the skip bound and both block tests hold for any table with 2 set,
         # not only the prime powers' short stretches
@@ -598,8 +601,9 @@ class TestAsymptoticReport:
         for hi, e in [(1000, -200.0), (10**5, 80.0), (10, math.inf), (10, -math.inf), (10, math.nan)]:
             with pytest.raises(ParameterError, match="exponent"):
                 asymptotic_report(hi, e, build_sieve(hi))
-        # exponents inside that range whose partial-sum ratio still overflows
-        for hi, e in [(1000, -102.0), (10**5, -61.0)]:
+        # exponents inside that range whose partial-sum ratio still overflows; at
+        # 2048 max_ratio itself overflows, in the block before the last
+        for hi, e in [(1000, -102.0), (10**5, -61.0), (2048, -92.85)]:
             with pytest.raises(ParameterError, match=f"exponent {e!r}"):
                 asymptotic_report(hi, e, build_sieve(hi))
         # the largest exponents at 10^5 that are accepted keep every ratio finite

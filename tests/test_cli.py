@@ -78,9 +78,12 @@ class TestBandsCommands:
         assert captured.err.startswith("error=exponent ") and exponent in captured.err
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
-    @pytest.mark.parametrize("hi, exponent", [("1000", "-102"), ("100000", "-61")])
+    @pytest.mark.parametrize(
+        "hi, exponent", [("1000", "-102"), ("100000", "-61"), ("2048", "-92.85"), ("1048576", "-51.07")]
+    )
     def test_asymptotic_ratio_overflow_exits_2(self, capsys, json_flag, hi, exponent):
-        # the exponents pass the n**exponent range check, but ratio would be inf
+        # the exponents pass the n**exponent range check, but ratio would be inf;
+        # at 2048 and 2^20 max_ratio is inf as well before the last block
         code = cli.main([*json_flag, "bands", "asymptotic", "--max", hi, "--exponent", exponent])
         captured = capsys.readouterr()
         assert code == 2

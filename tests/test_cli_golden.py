@@ -19,6 +19,7 @@ from secmin import cli
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "cli_golden"
 GRAMS = ["identity2", "hexagonal", "diag14"]
+FIELD = "--degK 2 --r1 0 --r2 1 --log-disc 1.0986122886681098"
 
 COMMANDS = {
     "verify-all-quick": ["verify-all", "--quick"],
@@ -60,8 +61,22 @@ COMMANDS = {
             "omega-mu": "omega-mu --g 3 --n 2 --k 1 --w2 1.5",
             "lambda-eval": "lambda --g 2 --m 12 --k 3 --L2 7.0 --Lw 1.5 --w2 0.8 --e-val 0.3",
             "constant-rank-shift": "constant --N 2 --rank-shift",
-            "mu-field": "mu --g 2 --m 12 --k 3 --L2 7.0 --Lw 1.5 --w2 0.8"
-            " --degK 2 --r1 0 --r2 1 --log-disc 1.0986122886681098",
+            "mu-field": f"mu --g 2 --m 12 --k 3 --L2 7.0 --Lw 1.5 --w2 0.8 {FIELD}",
+        }.items()
+    },
+    # --json payloads: tuples as arrays, a Fraction as an "n/d" string
+    **{
+        f"lattice-{action}-hexagonal-json": [
+            "--json", "lattice", action, "--gram", str(DATA / "hexagonal.gram"),
+            *(["--form", str(DATA / "product_form.txt")] if action == "avoid" else []),
+        ]
+        for action in ["dual", "heights", "transference", "avoid"]
+    },
+    **{
+        f"bounds-{name}-json": ["--json", "bounds", *argv.split(), *FIELD.split()]
+        for name, argv in {
+            "mu": "mu --g 2 --m 12 --k 3 --L2 7.0 --Lw 1.5 --w2 0.8",
+            "top": "top --g 2 --m 9 --L2 7.0 --Lw 1.5 --w2 0.8",
         }.items()
     },
     **{

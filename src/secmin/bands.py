@@ -31,10 +31,9 @@ from .errors import ParameterError, VerificationError
 
 
 class BandGapRecord(NamedTuple):
-    """b(n) and c(n) side by side; band is None when only the gap was computed."""
+    """The prime-power gap c(n) = n - witness_prime_power, the largest prime power <= n."""
 
     n: int
-    band: int | None
     gap: int
     witness_prime_power: int
 
@@ -114,15 +113,11 @@ def min_band(n: int) -> int:
 
 
 def prime_power_gap(n: int, sieve: PrimePowerSieve) -> BandGapRecord:
-    """n minus the largest prime power <= n, with the witness prime power.
-
-    Read from a sieve.  Only the tests and the bench's pascal-rows workload
-    call it.
-    """
+    """n minus the largest prime power <= n, with the witness prime power, read from a sieve."""
     if n < 2:
         raise ParameterError(f"prime_power_gap needs n >= 2, got {n}")
     witness = sieve.largest_prime_power(n)
-    return BandGapRecord(n, None, n - witness, witness)
+    return BandGapRecord(n, n - witness, witness)
 
 
 def prime_band(n: int, p: int) -> int:
@@ -153,14 +148,11 @@ def verify_band_gap_identity(range_hi: int) -> list[BandGapRecord]:
     if range_hi < 2:
         raise ParameterError(f"range_hi must be >= 2, got {range_hi}")
     sieve = build_sieve(range_hi)  # up to PRIME_TABLE_CAP, min_band reads its table too
-    records = []
-    for n in range(2, range_hi + 1):
-        b = min_band(n)
-        witness = sieve.largest_prime_power(n)
-        c = n - witness
-        if b != c:
-            raise VerificationError(f"band/gap identity fails at n={n}: band={b}, gap={c}")
-        records.append(BandGapRecord(n, b, c, witness))
+    records = [prime_power_gap(n, sieve) for n in range(2, range_hi + 1)]
+    for r in records:
+        b = min_band(r.n)
+        if b != r.gap:
+            raise VerificationError(f"band/gap identity fails at n={r.n}: band={b}, gap={r.gap}")
     return records
 
 

@@ -40,6 +40,8 @@ class NumberFieldData(_FieldFields):
             )
         if self.log_disc < 0:
             raise ParameterError(f"log|disc| must be >= 0, got {self.log_disc}")
+        if not math.isfinite(self.log_disc):
+            raise ParameterError(f"log|disc| must be finite, got {self.log_disc}")
         if self.log_disc == 0 and self.degree > 1:
             raise ParameterError("only the rationals have trivial discriminant")
         return self
@@ -69,6 +71,10 @@ class SurfaceData(_SurfaceFields):
             raise ParameterError(f"genus must be >= 2, got {self.genus}")
         if self.degree < 1:
             raise ParameterError(f"fiber degree must be >= 1, got {self.degree}")
+        if not all(map(math.isfinite, (self.l2, self.l_omega, self.omega2))):
+            raise ParameterError(
+                f"intersection numbers must be finite, got l2={self.l2}, l_omega={self.l_omega}, omega2={self.omega2}"
+            )
         if self.omega2 < 0:
             raise ParameterError(f"omega2 must be >= 0, got {self.omega2}")
         return self
@@ -240,7 +246,8 @@ def _field_from(inputs: dict) -> NumberFieldData:
     )
 
 
-def _surface_from(inputs: dict) -> SurfaceData:
+def surface_from(inputs: dict) -> SurfaceData:
+    """The surface of a report's echoed inputs, its field built first."""
     return SurfaceData(
         genus=inputs["g"],
         degree=inputs["m"],
@@ -254,14 +261,14 @@ def _surface_from(inputs: dict) -> SurfaceData:
 def _top(d: dict, want_odd: bool) -> float:
     if (d["m"] % 2 == 1) != want_odd:
         raise ParameterError(f"m={d['m']} has the wrong parity for this bound kind")
-    return top_lambda_floor(_surface_from(d))[1]
+    return top_lambda_floor(surface_from(d))[1]
 
 
 EVALUATORS: dict[str, Callable[[dict], float]] = {
     "constant": lambda d: transference_constant(d["N"], _field_from(d), rank_shift=d.get("rank_shift", False)),
-    "height": lambda d: height_floor(_surface_from(d)),
-    "lambda": lambda d: lambda_floor(_surface_from(d), d["k"], d.get("e_val")),
-    "mu": lambda d: mu_floor(_surface_from(d), d["k"], d.get("e_val")),
+    "height": lambda d: height_floor(surface_from(d)),
+    "lambda": lambda d: lambda_floor(surface_from(d), d["k"], d.get("e_val")),
+    "mu": lambda d: mu_floor(surface_from(d), d["k"], d.get("e_val")),
     "top-odd": lambda d: _top(d, True),
     "top-even": lambda d: _top(d, False),
     "omega-lambda": lambda d: omega_lambda_floor(d["g"], d["n"], d["k"], d["w2"], _field_from(d)),
@@ -270,10 +277,13 @@ EVALUATORS: dict[str, Callable[[dict], float]] = {
 
 
 def evaluate(kind: str, inputs: dict) -> float:
-    """Replay dispatcher: identical inputs give bit-identical values."""
+    """Replay dispatcher: identical inputs give bit-identical values, always finite."""
     if kind not in EVALUATORS:
         raise ParameterError(f"unknown bound kind {kind!r}")
-    return EVALUATORS[kind](inputs)
+    value = EVALUATORS[kind](inputs)
+    if not math.isfinite(value):
+        raise ParameterError(f"bound {kind} evaluates to {value} on these inputs; it must be finite")
+    return value
 
 
 def make_report(kind: str, **inputs: object) -> BoundReport:

@@ -48,41 +48,8 @@ def _emit(record: dict) -> str:
     return " ".join(f"{k}={_fmt(v)}" for k, v in record.items())
 
 
-def _jsonable(v):
-    if _is_fraction(v):
-        return str(v)
-    if isinstance(v, (tuple, list)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    return v
-
-
-def _field_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--field", choices=["Q"], default=None, help="shortcut for the rationals")
-    parser.add_argument("--degK", type=int, default=None, help="field degree over the rationals")
-    parser.add_argument("--r1", type=int, default=None, help="number of real places")
-    parser.add_argument("--r2", type=int, default=None, help="number of complex places")
-    parser.add_argument("--log-disc", type=float, default=None, help="log |discriminant|")
-
-
-def _field_from_args(args):
-    from . import bounds
-    explicit = [args.degK, args.r1, args.r2, args.log_disc]
-    if args.field == "Q" or all(v is None for v in explicit):
-        return bounds.RATIONAL_FIELD
-    if any(v is None for v in explicit):
-        raise ParameterError("specify --field Q or all of --degK --r1 --r2 --log-disc")
-    return bounds.NumberFieldData(args.degK, args.r1, args.r2, args.log_disc)
-
-
-def _field_echo(field) -> dict:
-    return {
-        "degK": field.degree,
-        "r1": field.real_places,
-        "r2": field.complex_places,
-        "log_disc": field.log_disc,
-    }
+def _flags(names) -> str:
+    return " ".join("--" + name.replace("_", "-") for name in names)
 
 
 def cmd_bands(args) -> tuple[list[dict], str]:
@@ -149,6 +116,9 @@ _BOUNDS_INPUTS = {
 # Inputs a kind reads but may leave out; it needs every other input it reads.
 _BOUNDS_DEFAULTS = {"rank_shift": False, "Lw": 0.0, "w2": 0.0, "e_val": None}
 
+# Every kind reads the field: --field Q, the default, or all four of these.
+_FIELD_INPUTS = ("degK", "r1", "r2", "log_disc")
+
 
 def cmd_bounds(args) -> tuple[list[dict], str]:
     from . import bounds
@@ -156,23 +126,28 @@ def cmd_bounds(args) -> tuple[list[dict], str]:
     every = dict.fromkeys(name for names in _BOUNDS_INPUTS.values() for name in names)
     unread = [name for name in every if name not in reads and getattr(args, name) is not None]
     if unread:
-        flags = " --".join(name.replace("_", "-") for name in unread)
-        raise ParameterError(f"bounds {args.which} does not read --{flags}")
+        raise ParameterError(f"bounds {args.which} does not read {_flags(unread)}")
     values = {name: getattr(args, name) for name in reads}
     values = {name: _BOUNDS_DEFAULTS.get(name) if v is None else v for name, v in values.items()}
     missing = [name for name, v in values.items() if v is None and name not in _BOUNDS_DEFAULTS]
     if missing:
-        raise ParameterError(f"bounds {args.which} needs --" + " --".join(missing))
-    field = _field_from_args(args)
-    inputs = {name: v for name, v in values.items() if v is not None} | _field_echo(field)
+        raise ParameterError(f"bounds {args.which} needs {_flags(missing)}")
+    # the field's four inputs go to bounds as they are echoed; evaluate validates them
+    field = {name: getattr(args, name) for name in _FIELD_INPUTS if getattr(args, name) is not None}
+    if args.field == "Q" and field:
+        raise ParameterError(f"--field Q excludes {_flags(field)}")
+    if not field:
+        field = dict(zip(_FIELD_INPUTS, bounds.RATIONAL_FIELD))
+    elif len(field) < len(_FIELD_INPUTS):
+        raise ParameterError(f"specify --field Q or all of {_flags(_FIELD_INPUTS)}")
+    inputs = {name: v for name, v in values.items() if v is not None} | field
     which = args.which
     if which == "top":
         which = "top-odd" if args.m % 2 == 1 else "top-even"
     report = bounds.make_report(which, **inputs)
     record = {"kind": report.kind, **dict(report.inputs), "value": report.value}
-    if which in ("top-odd", "top-even"):
-        s = bounds.SurfaceData(args.g, args.m, args.L2, values["Lw"], values["w2"], field)
-        record["index"] = bounds.top_lambda_floor(s)[0]
+    if args.which == "top":
+        record["index"] = bounds.top_lambda_floor(bounds.surface_from(inputs))[0]
     return [record], "report"
 
 
@@ -204,18 +179,7 @@ def cmd_lattice(args) -> tuple[list[dict], str]:
         ], "report"
     if args.action == "transference":
         report = lattice.verify_transference(lat)
-        out = [
-            {
-                "p": r.p,
-                "lower": r.lower,
-                "minima_sum": r.minima_sum,
-                "upper": r.upper,
-                "printed_upper": r.printed_upper,
-                "ok": r.ok,
-                "printed_ok": r.printed_ok,
-            }
-            for r in report.rows
-        ]
+        out = [{**r._asdict(), "ok": r.ok, "printed_ok": r.printed_ok} for r in report.rows]
         out.append({"constant": report.constant})
         return out, "pass"
     # avoid
@@ -278,7 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Lw", type=float, help="default 0.0")
     p.add_argument("--w2", type=float, help="default 0.0")
     p.add_argument("--e-val", type=float, default=None, dest="e_val")
-    _field_args(p)
+    p.add_argument("--field", choices=["Q"], help="the rationals, the default; excludes the four flags below")
+    p.add_argument("--degK", type=int, help="field degree over the rationals")
+    p.add_argument("--r1", type=int, help="number of real places")
+    p.add_argument("--r2", type=int, help="number of complex places")
+    p.add_argument("--log-disc", type=float, help="log |discriminant|")
     p.set_defaults(fn=cmd_bounds, modules=("bounds",))
 
     p = sub.add_parser("lattice", help="Gram-lattice computations")
@@ -314,8 +282,8 @@ def main(argv: list[str] | None = None) -> int:
     elapsed = int(1000 * (time.perf_counter() - t0))
     if args.json:
         import json  # only --json output needs it: text runs skip the import
-        print(json.dumps({"command": args.command, "status": status,
-                          "records": [_jsonable(r) for r in records]}))
+        # default=str writes a Fraction as "n/d"; tuples already come out as arrays
+        print(json.dumps({"command": args.command, "status": status, "records": records}, default=str))
     else:
         for record in records:
             print(_emit(record))

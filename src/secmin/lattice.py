@@ -17,12 +17,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations, product
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import ParameterError, ResourceLimitError, VerificationError
-
-if TYPE_CHECKING:
-    from .bounds import NumberFieldData
 
 MAX_RANK = 6
 HEIGHT_MAX_RANK = 4
@@ -410,21 +407,16 @@ def dual_heights(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> tuple[tuple[
     return sq, tuple(0.5 * (math.log(q.numerator) - math.log(q.denominator)) for q in sq)
 
 
-def verify_transference(
-    lat: GramLattice,
-    field: NumberFieldData | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> TransferenceReport:
+def verify_transference(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> TransferenceReport:
     """Two-sided comparison of minima partial sums with dual sublattice heights.
 
     For each p in [1, rank], checks
         ell_(rank-p)(dual) <= sum_(j<=p) lambda_j
                            <= C(rank-1, K) + ell_(rank-p)(dual) + log det,
-    over the rationals only (field None, the default, or bounds.RATIONAL_FIELD),
-    with the rank-0 dual height equal to 0.  Ranks above HEIGHT_MAX_RANK = 4
-    are rejected with ParameterError.  Both sides are theorems for the
-    integer Gram lattices it accepts: the lower via covolume duality plus
-    Hadamard on the minima witnesses, the upper via the
+    over the rationals, with the rank-0 dual height equal to 0.  Ranks above
+    HEIGHT_MAX_RANK = 4 are rejected with ParameterError.  Both sides are
+    theorems for the integer Gram lattices it accepts: the lower via covolume
+    duality plus Hadamard on the minima witnesses, the upper via the
     second-theorem volume bound (every partial minima sum is at most the full
     one, primal sublattice covolumes are >= 1, and the unit-ball volume grows
     through dimension 5).  A violation raises, signalling an implementation
@@ -433,8 +425,6 @@ def verify_transference(
     """
     # imported here, so that the lattice commands that skip this check do not load bounds
     from .bounds import RATIONAL_FIELD, transference_constant
-    if field is not None and field != RATIONAL_FIELD:
-        raise ParameterError("transference check is implemented over the rationals only")
     n = lat.rank
     if n > HEIGHT_MAX_RANK:
         raise ParameterError(f"transference check supports rank <= {HEIGHT_MAX_RANK}, got {n}")
@@ -559,15 +549,20 @@ def avoid_hypersurface(f: HomogeneousForm, minima: MinimaProfile) -> AvoidanceRe
     raise VerificationError("nonzero form vanished on the whole grid; impossible")
 
 
+def _content_lines(text: str, what: str) -> list[str]:
+    """The stripped lines of text that are neither blank nor '#' comments; none raises."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+    if not lines:
+        raise ParameterError(f"empty {what} file")
+    return lines
+
+
 def read_gram(text: str) -> GramLattice:
     """Parse a Gram matrix: first line the rank, then rank rows of rank integers.
 
     Blank lines and lines starting with '#' are ignored.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ParameterError("empty Gram file")
+    lines = _content_lines(text, "Gram")
     try:
         rank = int(lines[0])
         rows = [[int(x) for x in ln.split()] for ln in lines[1:]]
@@ -580,13 +575,9 @@ def read_gram(text: str) -> GramLattice:
 
 def read_form(text: str) -> HomogeneousForm:
     """Parse a form, one 'coeff e1 e2 ... ek' term per line; '#' comments allowed."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ParameterError("empty form file")
     terms: dict[tuple[int, ...], int] = {}
     num_vars = None
-    for ln in lines:
+    for ln in _content_lines(text, "form"):
         try:
             parts = [int(x) for x in ln.split()]
         except ValueError as exc:

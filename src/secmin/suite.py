@@ -12,6 +12,7 @@ import math
 import random
 import struct
 import time
+from itertools import product
 from typing import NamedTuple
 
 from . import arith, bands, bounds, lattice, secant
@@ -218,14 +219,8 @@ def check_transference(count: int) -> str:
 
 
 def random_form(rng: random.Random, num_vars: int, degree: int) -> lattice.HomogeneousForm:
-    exps = []
-
-    def gen(remaining, slots):
-        if slots == 1:
-            return [(remaining,)]
-        return [(i,) + rest for i in range(remaining + 1) for rest in gen(remaining - i, slots - 1)]
-
-    monomials = gen(degree, num_vars)
+    # exponent vectors of the given degree in lexicographic order, the order the RNG draws follow
+    monomials = [e for e in product(range(degree + 1), repeat=num_vars) if sum(e) == degree]
     while True:
         terms = {e: rng.randint(-5, 5) for e in monomials if rng.random() < 0.5}
         terms = {e: c for e, c in terms.items() if c}

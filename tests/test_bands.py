@@ -430,11 +430,11 @@ class TestVerifiers:
     def test_identity_range_100(self):
         records = verify_band_gap_identity(100)
         assert len(records) == 99
-        assert all(r.band == r.gap for r in records)
+        assert all(min_band(r.n) == r.gap for r in records)
 
     def test_identity_range_2(self):
         records = verify_band_gap_identity(2)
-        assert len(records) == 1 and records[0].band == 0
+        assert len(records) == 1 and records[0].gap == 0
 
     def test_identity_sieves_once(self, monkeypatch):
         # build_sieve fills the shared table, so min_band's reads need no second sieve

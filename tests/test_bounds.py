@@ -7,6 +7,7 @@ import pytest
 
 from secmin.bounds import (
     RATIONAL_FIELD,
+    BoundReport,
     NumberFieldData,
     SurfaceData,
     ball_volume_log,
@@ -82,6 +83,16 @@ class TestNumberFieldData:
             SurfaceData(1, 4, 1.0, 0.0, 0.0, RATIONAL_FIELD)
         with pytest.raises(ParameterError):
             SurfaceData(2, 4, 1.0, 0.0, -1.0, RATIONAL_FIELD)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        with pytest.raises(ParameterError, match=r"^log\|disc\| must be (finite|>= 0)"):
+            NumberFieldData(2, 0, 1, bad)
+        for i in (2, 3, 4):  # l2, l_omega, omega2
+            fields = [2, 4, 1.0, 0.0, 0.0, RATIONAL_FIELD]
+            fields[i] = bad
+            with pytest.raises(ParameterError, match="intersection numbers must be finite"):
+                SurfaceData(*fields)
 
 
 class TestHeightFloor:
@@ -308,6 +319,13 @@ class TestReports:
         assert r.kind == "constant" and r.inputs[:2] == (("N", 2), ("degK", 1))
         assert [k for k, _ in r.inputs] == ["N", "degK", "log_disc", "r1", "r2", "rank_shift"]
         assert r.value == transference_constant(2, RATIONAL_FIELD)
+
+    def test_non_finite_value_rejected(self):
+        inputs = {"g": 2, "m": 12, "L2": 1e308, "Lw": 0.0, "w2": 1e308, "degK": 1, "r1": 1, "r2": 0, "log_disc": 0.0}
+        with pytest.raises(ParameterError, match="^bound height evaluates to inf"):
+            make_report("height", **inputs)
+        with pytest.raises(ParameterError, match="^bound height evaluates to inf"):
+            BoundReport("height", 0.0, tuple(sorted(inputs.items()))).replay()
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):

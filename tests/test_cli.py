@@ -154,6 +154,44 @@ class TestBoundsCommand:
         code, _ = run(capsys, "bounds", "constant", "--N", "1", "--degK", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "field, given",
+        [("--degK 2 --r1 0 --r2 1 --log-disc 1.0", "--degK --r1 --r2 --log-disc"), ("--r2 1", "--r2")],
+        ids=["all", "one"],
+    )
+    def test_field_q_excludes_explicit_field_flags(self, capsys, json_flag, field, given):
+        code = cli.main([*json_flag, "bounds", "constant", "--N", "1", "--field", "Q", *field.split()])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "status=fail\n"
+        assert captured.err == f"error=--field Q excludes {given}\n"
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "lambda --g 2 --m 12 --k 3 --L2={}",
+            "height --g 2 --m 12 --L2={}",
+            "top --g 2 --m 9 --L2 7.0 --Lw={}",
+            "mu --g 2 --m 12 --k 3 --L2 7.0 --w2={}",
+            "lambda --g 2 --m 12 --k 3 --L2 7.0 --e-val={}",
+            "omega-lambda --g 3 --n 2 --k 1 --w2={}",
+            "constant --N 1 --degK 2 --r1 0 --r2 1 --log-disc={}",
+        ],
+        ids=["lambda-L2", "height-L2", "top-Lw", "mu-w2", "lambda-e-val", "omega-lambda-w2", "constant-log-disc"],
+    )
+    def test_non_finite_input_exits_2(self, capsys, json_flag, value, argv):
+        code = cli.main([*json_flag, "bounds", *argv.format(value).split()])
+        assert code == 2 and capsys.readouterr().out == "status=fail\n"
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_overflowing_value_exits_2(self, capsys, json_flag):
+        code = cli.main([*json_flag, "bounds", "height", "--g", "2", "--m", "12", "--L2", "1e308", "--w2", "1e308"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "status=fail\n"
+        assert captured.err.startswith("error=bound height evaluates to inf")
+
     def test_missing_flags_exit_2(self, capsys):
         code, _ = run(capsys, "bounds", "lambda", "--m", "12", "--k", "3")
         assert code == 2

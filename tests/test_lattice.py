@@ -9,7 +9,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from secmin.bounds import NumberFieldData, ball_volume_log
+from secmin.bounds import ball_volume_log
 from secmin import lattice, suite
 from secmin.errors import ParameterError, ResourceLimitError, VerificationError
 from secmin.lattice import (
@@ -554,10 +554,6 @@ class TestTransference:
         assert report.constant == 1.3401767639386004
         prof = successive_minima(SKEWED4)
         assert prof.witnesses == ((2, 2, 3, 1), (3, 2, 4, 1), (9, 7, 12, 4), (1, 1, 2, 1))
-
-    def test_non_rational_field_rejected(self):
-        with pytest.raises(ParameterError):
-            verify_transference(IDENTITY2, NumberFieldData(2, 0, 1, 1.0))
 
 
 class TestForms:

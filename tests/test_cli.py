@@ -215,6 +215,55 @@ class TestBoundsCommand:
         assert code == 2 and captured.out == "status=fail\n"
         assert captured.err == f"error=bounds {argv.split()[0]} does not read {unread}\n"
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            # missing and unread flags
+            ("lambda --m 12 --k 3", "bounds lambda needs --g --L2"),
+            ("omega-mu --g 3 --n 2", "bounds omega-mu needs --k"),
+            ("constant", "bounds constant needs --N"),
+            ("top --g 2 --L2 4.0", "bounds top needs --m"),
+            ("mu --g 2 --m 12 --k 3 --L2 7.0 --rank-shift", "bounds mu does not read --rank-shift"),
+            ("omega-lambda --g 3 --n 2 --k 1 --Lw 1.0 --m 8", "bounds omega-lambda does not read --m --Lw"),
+            ("constant --g 2", "bounds constant does not read --g"),
+            # the field
+            ("height --g 2 --m 2 --L2 1.0 --field Q --log-disc 1.0", "--field Q excludes --log-disc"),
+            ("height --g 2 --m 2 --L2 1.0 --degK 2 --r1 2", "specify --field Q or all of --degK --r1 --r2 --log-disc"),
+            ("constant --N 1 --degK 2 --r1 1 --r2 1 --log-disc 1.0", "signature mismatch: r1 + 2*r2 = 3 but degree = 2"),
+            # indices out of range
+            ("top --g 2 --m 3 --L2 1.0", "index m-g-1 or m-g must be >= 1, got 0"),
+            ("lambda --g 2 --m 12 --k 1 --L2 7.0", "k must exceed 1, got 1"),
+            ("mu --g 2 --m 10 --k 5 --L2 6.0", "need m > 2k, got m=10, k=5"),
+            ("omega-lambda --g 3 --n 2 --k 4 --w2 1.0", "need 1 <= k < (g-1)n, got k=4, (g-1)n=4"),
+            ("omega-mu --g 2 --n 1 --k 1 --w2 1.0", "need 1 <= k < (g-1)n, got k=1, (g-1)n=1"),
+            ("constant --N -1", "N must be >= 0, got -1"),
+            # genus, fiber degree and power
+            ("height --g 1 --m 4 --L2 1.0", "genus must be >= 2, got 1"),
+            ("height --g 2 --m 0 --L2 1.0", "fiber degree must be >= 1, got 0"),
+            ("omega-lambda --g 1 --n 2 --k 1 --w2 1.0", "genus must be >= 2, got 1"),
+            ("omega-mu --g 1 --n 2 --k 1 --w2 1.0", "need 1 <= k < (g-1)n, got k=1, (g-1)n=0"),
+            ("omega-lambda --g 3 --n 0 --k 1 --w2 1.0", "power must be >= 1, got 0"),
+            ("omega-lambda --g 3 --n 2 --k 9 --w2 -1.0", "need 1 <= k < (g-1)n, got k=9, (g-1)n=4"),
+            # non-finite intersection numbers and e_val
+            ("lambda --g 2 --m 12 --k 3 --L2 nan",
+             "intersection numbers must be finite, got l2=nan, l_omega=0.0, omega2=0.0"),
+            ("top --g 2 --m 9 --L2 7.0 --w2=-inf",
+             "intersection numbers must be finite, got l2=7.0, l_omega=0.0, omega2=-inf"),
+            ("omega-mu --g 3 --n 2 --k 1 --w2 nan",
+             "intersection numbers must be finite, got l2=nan, l_omega=nan, omega2=nan"),
+            ("omega-lambda --g 3 --n 2 --k 1 --w2 inf",
+             "bound omega-lambda evaluates to inf on these inputs; it must be finite"),
+            ("lambda --g 2 --m 12 --k 3 --L2 7.0 --e-val nan",
+             "bound lambda evaluates to nan on these inputs; it must be finite"),
+            ("mu --g 2 --m 12 --k 3 --L2 7.0 --e-val=-inf",
+             "bound mu evaluates to nan on these inputs; it must be finite"),
+        ],
+    )
+    def test_bad_arguments_name_their_error(self, capsys, argv, error):
+        code = cli.main(["bounds", *argv.split()])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "status=fail\n", f"error={error}\n")
+
     def test_lw_and_w2_default_to_zero(self, capsys):
         _, implicit = run(capsys, "bounds", "top", "--g", "2", "--m", "9", "--L2", "7.0")
         _, explicit = run(capsys, "bounds", "top", "--g", "2", "--m", "9", "--L2", "7.0", "--Lw", "0.0", "--w2", "0.0")

@@ -182,6 +182,9 @@ def verify_quarter_bound(range_hi: int, sieve: PrimePowerSieve) -> bool:
     return True
 
 
+GROWTH_EXPONENTS = (0.535, 23 / 18)  # of the reference log and `secmin bands asymptotic`
+
+
 def asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve) -> GapSumReport:
     """Partial sums and pointwise maxima of the gap function, scaled by n^exponent.
 

@@ -11,7 +11,7 @@ inputs echoed in their reports.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import ParameterError
 from .secant import degree_formula
@@ -112,14 +112,27 @@ def height_floor(s: SurfaceData) -> float:
     return g * s.l2 / (2 * m) - s.l_omega / 2 + m * s.omega2 / (8 * g)
 
 
-def _degree_term(genus: int, m: int, d: int) -> int:
-    """Secant degree for log terms, lifted to at least 1.
+def _log_degree_term(genus: int, m: int, d: int) -> float:
+    """log(D(g,m,d)(m+g)), the secant degree lifted to at least 1.
 
     The formula evaluates to 0 once the secant variety fills projective space;
     the degree of the full space is 1, and the log term needs a positive
     argument, so 0 is lifted to 1.
     """
-    return max(degree_formula(genus, m, d), 1)
+    return math.log(max(degree_formula(genus, m, d), 1) * (m + genus))
+
+
+def _height_for(s: SurfaceData, k: int, e_val: float | None) -> float:
+    """The height e_val, the height floor by default, once k, m and e_val are checked."""
+    if k <= 1:
+        raise ParameterError(f"k must exceed 1, got {k}")
+    if s.degree <= 2 * k:
+        raise ParameterError(f"need m > 2k, got m={s.degree}, k={k}")
+    if e_val is None:
+        return height_floor(s)
+    if not math.isfinite(e_val):
+        raise ParameterError(f"e_val must be finite, got {e_val}")
+    return e_val
 
 
 def lambda_floor(s: SurfaceData, k: int, e_val: float | None = None) -> float:
@@ -129,42 +142,25 @@ def lambda_floor(s: SurfaceData, k: int, e_val: float | None = None) -> float:
     the height floor by default; callers with sharper height information pass
     their own e_val.  Requires k > 1 and m > 2k.
     """
-    g, m, deg = s.genus, s.degree, s.field.degree
-    if k <= 1:
-        raise ParameterError(f"k must exceed 1, got {k}")
-    if m <= 2 * k:
-        raise ParameterError(f"need m > 2k, got m={m}, k={k}")
-    if e_val is None:
-        e_val = height_floor(s)
-    dterm = _degree_term(g, m, k - 1)
-    bracket = k * (s.l2 - 2 * m * e_val) + m * m * e_val - math.log(dterm * (m + g)) * deg
+    m, deg = s.degree, s.field.degree
+    e_val = _height_for(s, k, e_val)
+    bracket = k * (s.l2 - 2 * m * e_val) + m * m * e_val - _log_degree_term(s.genus, m, k - 1) * deg
     return bracket / (m * m * deg) - 1
 
 
-def _mu_bracket(s: SurfaceData, k: int, e_val: float) -> float:
-    g, m, deg = s.genus, s.degree, s.field.degree
+def _mu(s: SurfaceData, k: int, e_val: float) -> float:
+    g, m = s.genus, s.degree
     log_sum = 0.0
     for j in range(1, k + 1):
-        dterm = _degree_term(g, m, j - 1)
-        log_sum += math.log(dterm * (m + g))
-    return (
-        (k * (k + 1) / 2) * (s.l2 - 2 * m * e_val)
-        + k * m * m * e_val
-        - log_sum * deg
-    )
+        log_sum += _log_degree_term(g, m, j - 1)
+    bracket = (k * (k + 1) / 2) * (s.l2 - 2 * m * e_val) + k * m * m * e_val - log_sum * s.field.degree
+    return -transference_constant(m + g - 2, s.field) + bracket / (m * m)
 
 
 def mu_floor(s: SurfaceData, k: int, e_val: float | None = None) -> float:
     """Lower bound for the k-th dual sublattice height of the section lattice:
     -C(m+g-2, K) + [k(k+1)/2 (l2 - 2m e) + k m^2 e - sum_j log(D(g,m,j-1)(m+g)) deg] / m^2."""
-    g, m = s.genus, s.degree
-    if k <= 1:
-        raise ParameterError(f"k must exceed 1, got {k}")
-    if m <= 2 * k:
-        raise ParameterError(f"need m > 2k, got m={m}, k={k}")
-    if e_val is None:
-        e_val = height_floor(s)
-    return -transference_constant(m + g - 2, s.field) + _mu_bracket(s, k, e_val) / (m * m)
+    return _mu(s, k, _height_for(s, k, e_val))
 
 
 def top_lambda_floor(s: SurfaceData) -> tuple[int, float]:
@@ -177,8 +173,7 @@ def top_lambda_floor(s: SurfaceData) -> tuple[int, float]:
     index = m - g - 1 if m % 2 == 1 else m - g
     if index < 1:
         raise ParameterError(f"index m-g-1 or m-g must be >= 1, got {index}")
-    dterm = _degree_term(g, m, index - 1)
-    value = (s.l2 - math.log(dterm * (m + g)) * deg) / (2 * m * deg) - 1
+    value = (s.l2 - _log_degree_term(g, m, index - 1) * deg) / (2 * m * deg) - 1
     return index, value
 
 
@@ -199,31 +194,43 @@ def omega_power_surface(genus: int, n: int, omega2: float, field: NumberFieldDat
     )
 
 
+def _omega_surface(genus: int, n: int, k: int, omega2: float, field: NumberFieldData) -> SurfaceData:
+    """The omega-power surface, once k is checked against it."""
+    s = omega_power_surface(genus, n, omega2, field)
+    if not 1 <= k < (genus - 1) * n:
+        raise ParameterError(f"need 1 <= k < (g-1)n, got k={k}, (g-1)n={(genus - 1) * n}")
+    return s
+
+
 def omega_lambda_floor(genus: int, n: int, k: int, omega2: float, field: NumberFieldData) -> float:
     """Exact minimum bound for powers of the dualizing sheaf, no asymptotic constants:
     (k+n)/(4g(g-1)) * omega2/deg - log(D(g, 2n(g-1), k-1)(m+g)) / m^2, for 1 <= k < (g-1)n."""
-    if genus < 2:
-        raise ParameterError(f"genus must be >= 2, got {genus}")
-    if n < 1:
-        raise ParameterError(f"power must be >= 1, got {n}")
-    if not 1 <= k < (genus - 1) * n:
-        raise ParameterError(f"need 1 <= k < (g-1)n, got k={k}, (g-1)n={(genus - 1) * n}")
-    if omega2 < 0:
-        raise ParameterError(f"omega2 must be >= 0, got {omega2}")
-    g, m = genus, 2 * (genus - 1) * n
-    dterm = _degree_term(g, m, k - 1)
-    return (k + n) / (4 * g * (g - 1)) * (omega2 / field.degree) - math.log(dterm * (m + g)) / (m * m)
+    g, m = genus, _omega_surface(genus, n, k, omega2, field).degree
+    return (k + n) / (4 * g * (g - 1)) * (omega2 / field.degree) - _log_degree_term(g, m, k - 1) / (m * m)
 
 
 def omega_mu_floor(genus: int, n: int, k: int, omega2: float, field: NumberFieldData) -> float:
     """Exact dual-height bound for powers of the dualizing sheaf: the mu bound
     with the height floor substituted, valid down to k = 1."""
-    if not 1 <= k < (genus - 1) * n:
-        raise ParameterError(f"need 1 <= k < (g-1)n, got k={k}, (g-1)n={(genus - 1) * n}")
-    s = omega_power_surface(genus, n, omega2, field)
-    e_val = height_floor(s)
-    m, g = s.degree, s.genus
-    return -transference_constant(m + g - 2, field) + _mu_bracket(s, k, e_val) / (m * m)
+    s = _omega_surface(genus, n, k, omega2, field)
+    return _mu(s, k, height_floor(s))
+
+
+# The inputs each kind reads besides the field's four, in the order the CLI
+# names them.  A kind may leave out those in DEFAULTS and needs all the others.
+FIELD_INPUTS = ("degK", "r1", "r2", "log_disc")
+_SURFACE_INPUTS = ("g", "m", "L2", "Lw", "w2")
+INPUTS = {
+    "constant": ("N", "rank_shift"),
+    "height": _SURFACE_INPUTS,
+    "lambda": ("g", "m", "k", "L2", "Lw", "w2", "e_val"),
+    "mu": ("g", "m", "k", "L2", "Lw", "w2", "e_val"),
+    "top-odd": _SURFACE_INPUTS,
+    "top-even": _SURFACE_INPUTS,
+    "omega-lambda": ("g", "n", "k", "w2"),
+    "omega-mu": ("g", "n", "k", "w2"),
+}
+DEFAULTS = {"rank_shift": False, "Lw": 0.0, "w2": 0.0, "e_val": None}
 
 
 class BoundReport(NamedTuple):
@@ -237,56 +244,55 @@ class BoundReport(NamedTuple):
         return evaluate(self.kind, dict(self.inputs))
 
 
-def _field_from(inputs: dict) -> NumberFieldData:
-    return NumberFieldData(
-        degree=inputs["degK"],
-        real_places=inputs["r1"],
-        complex_places=inputs["r2"],
-        log_disc=inputs["log_disc"],
-    )
-
-
 def surface_from(inputs: dict) -> SurfaceData:
     """The surface of a report's echoed inputs, its field built first."""
-    return SurfaceData(
-        genus=inputs["g"],
-        degree=inputs["m"],
-        l2=inputs["L2"],
-        l_omega=inputs["Lw"],
-        omega2=inputs["w2"],
-        field=_field_from(inputs),
-    )
+    field = NumberFieldData(*(inputs[name] for name in FIELD_INPUTS))
+    return SurfaceData(inputs["g"], inputs["m"], inputs["L2"], inputs["Lw"], inputs["w2"], field)
 
 
-def _top(d: dict, want_odd: bool) -> float:
-    if (d["m"] % 2 == 1) != want_odd:
-        raise ParameterError(f"m={d['m']} has the wrong parity for this bound kind")
-    return top_lambda_floor(surface_from(d))[1]
-
-
-EVALUATORS: dict[str, Callable[[dict], float]] = {
-    "constant": lambda d: transference_constant(d["N"], _field_from(d), rank_shift=d.get("rank_shift", False)),
-    "height": lambda d: height_floor(surface_from(d)),
-    "lambda": lambda d: lambda_floor(surface_from(d), d["k"], d.get("e_val")),
-    "mu": lambda d: mu_floor(surface_from(d), d["k"], d.get("e_val")),
-    "top-odd": lambda d: _top(d, True),
-    "top-even": lambda d: _top(d, False),
-    "omega-lambda": lambda d: omega_lambda_floor(d["g"], d["n"], d["k"], d["w2"], _field_from(d)),
-    "omega-mu": lambda d: omega_mu_floor(d["g"], d["n"], d["k"], d["w2"], _field_from(d)),
-}
+def _with_defaults(kind: str, inputs: dict) -> dict:
+    """Every input kind reads, one left out or given as None taking its default;
+    ParameterError names the inputs given that kind does not read, or those it needs."""
+    if kind not in INPUTS:
+        raise ParameterError(f"unknown bound kind {kind!r}")
+    reads = INPUTS[kind] + FIELD_INPUTS
+    unread = [name for name in inputs if name not in reads]
+    if unread:
+        raise ParameterError(f"bound {kind} does not read {', '.join(unread)}")
+    d = {name: DEFAULTS.get(name) if inputs.get(name) is None else inputs[name] for name in reads}
+    missing = [name for name, v in d.items() if v is None and name not in DEFAULTS]
+    if missing:
+        raise ParameterError(f"bound {kind} needs {', '.join(missing)}")
+    return d
 
 
 def evaluate(kind: str, inputs: dict) -> float:
     """Replay dispatcher: identical inputs give bit-identical values, always finite."""
-    if kind not in EVALUATORS:
-        raise ParameterError(f"unknown bound kind {kind!r}")
-    value = EVALUATORS[kind](inputs)
+    d = _with_defaults(kind, inputs)
+    if "m" not in d:  # the kinds that build no surface of their own
+        field = NumberFieldData(*(d[name] for name in FIELD_INPUTS))
+        if kind == "constant":
+            value = transference_constant(d["N"], field, rank_shift=d["rank_shift"])
+        else:
+            floor = omega_lambda_floor if kind == "omega-lambda" else omega_mu_floor
+            value = floor(d["g"], d["n"], d["k"], d["w2"], field)
+    else:
+        s = surface_from(d)
+        if kind == "height":
+            value = height_floor(s)
+        elif kind in ("lambda", "mu"):
+            value = (lambda_floor if kind == "lambda" else mu_floor)(s, d["k"], d["e_val"])
+        elif (s.degree % 2 == 1) != (kind == "top-odd"):
+            raise ParameterError(f"m={s.degree} has the wrong parity for this bound kind")
+        else:
+            value = top_lambda_floor(s)[1]
     if not math.isfinite(value):
         raise ParameterError(f"bound {kind} evaluates to {value} on these inputs; it must be finite")
     return value
 
 
 def make_report(kind: str, **inputs: object) -> BoundReport:
-    items = tuple(sorted(inputs.items()))
-    value = evaluate(kind, dict(items))
-    return BoundReport(kind=kind, value=value, inputs=items)
+    """The value of kind on inputs, echoing them and the defaults it filled in
+    but an e_val left to the height floor."""
+    echoed = {name: v for name, v in _with_defaults(kind, inputs).items() if v is not None}
+    return BoundReport(kind=kind, value=evaluate(kind, echoed), inputs=tuple(sorted(echoed.items())))

@@ -69,7 +69,7 @@ def cmd_bands(args) -> tuple[list[dict], str]:
     hi = args.max if args.max is not None else 10**6
     sieve = arith.build_sieve(hi)
     out = []
-    for exponent in args.exponent or [0.535, 23 / 18]:
+    for exponent in args.exponent or bands.GROWTH_EXPONENTS:
         r = bands.asymptotic_report(hi, exponent, sieve)
         out.append(
             {
@@ -102,52 +102,32 @@ def cmd_secant(args) -> tuple[list[dict], str]:
     return [record], status
 
 
-_BOUNDS_INPUTS = {
-    "constant": ["N", "rank_shift"],
-    "height": ["g", "m", "L2", "Lw", "w2"],
-    "lambda": ["g", "m", "k", "L2", "Lw", "w2", "e_val"],
-    "mu": ["g", "m", "k", "L2", "Lw", "w2", "e_val"],
-    "top": ["g", "m", "L2", "Lw", "w2"],
-    "omega-lambda": ["g", "n", "k", "w2"],
-    "omega-mu": ["g", "n", "k", "w2"],
-}
-
-
-# Inputs a kind reads but may leave out; it needs every other input it reads.
-_BOUNDS_DEFAULTS = {"rank_shift": False, "Lw": 0.0, "w2": 0.0, "e_val": None}
-
-# Every kind reads the field: --field Q, the default, or all four of these.
-_FIELD_INPUTS = ("degK", "r1", "r2", "log_disc")
-
-
 def cmd_bounds(args) -> tuple[list[dict], str]:
     from . import bounds
-    reads = _BOUNDS_INPUTS[args.which]
-    every = dict.fromkeys(name for names in _BOUNDS_INPUTS.values() for name in names)
-    unread = [name for name in every if name not in reads and getattr(args, name) is not None]
+    kind = args.which
+    if kind == "top":  # the two top kinds read the same inputs; m's parity picks one
+        kind = "top-odd" if args.m is not None and args.m % 2 else "top-even"
+    reads = bounds.INPUTS[kind]
+    # every kind's inputs in table order, as the messages name them
+    given = {name: v for names in bounds.INPUTS.values() for name in names if (v := getattr(args, name)) is not None}
+    unread = [name for name in given if name not in reads]
     if unread:
         raise ParameterError(f"bounds {args.which} does not read {_flags(unread)}")
-    values = {name: getattr(args, name) for name in reads}
-    values = {name: _BOUNDS_DEFAULTS.get(name) if v is None else v for name, v in values.items()}
-    missing = [name for name, v in values.items() if v is None and name not in _BOUNDS_DEFAULTS]
+    missing = [name for name in reads if name not in given and name not in bounds.DEFAULTS]
     if missing:
         raise ParameterError(f"bounds {args.which} needs {_flags(missing)}")
     # the field's four inputs go to bounds as they are echoed; evaluate validates them
-    field = {name: getattr(args, name) for name in _FIELD_INPUTS if getattr(args, name) is not None}
+    field = {name: getattr(args, name) for name in bounds.FIELD_INPUTS if getattr(args, name) is not None}
     if args.field == "Q" and field:
         raise ParameterError(f"--field Q excludes {_flags(field)}")
     if not field:
-        field = dict(zip(_FIELD_INPUTS, bounds.RATIONAL_FIELD))
-    elif len(field) < len(_FIELD_INPUTS):
-        raise ParameterError(f"specify --field Q or all of {_flags(_FIELD_INPUTS)}")
-    inputs = {name: v for name, v in values.items() if v is not None} | field
-    which = args.which
-    if which == "top":
-        which = "top-odd" if args.m % 2 == 1 else "top-even"
-    report = bounds.make_report(which, **inputs)
+        field = dict(zip(bounds.FIELD_INPUTS, bounds.RATIONAL_FIELD))
+    elif len(field) < len(bounds.FIELD_INPUTS):
+        raise ParameterError(f"specify --field Q or all of {_flags(bounds.FIELD_INPUTS)}")
+    report = bounds.make_report(kind, **given, **field)
     record = {"kind": report.kind, **dict(report.inputs), "value": report.value}
     if args.which == "top":
-        record["index"] = bounds.top_lambda_floor(bounds.surface_from(inputs))[0]
+        record["index"] = bounds.top_lambda_floor(bounds.surface_from(dict(report.inputs)))[0]
     return [record], "report"
 
 

@@ -118,10 +118,6 @@ class MinimaProfile(NamedTuple):
     log_minima: tuple[float, ...]
     witnesses: tuple[tuple[int, ...], ...]
 
-    @property
-    def log_max(self) -> float:
-        return self.log_minima[-1]
-
 
 class SublatticeHeightTable(NamedTuple):
     """Minimal squared covolumes of primitive rank-p sublattices, p = 1..rank."""
@@ -543,7 +539,7 @@ def avoid_hypersurface(f: HomogeneousForm, minima: MinimaProfile) -> AvoidanceRe
                 lattice_vector=vec,
                 value=value,
                 log_norm=0.5 * math.log(q2),
-                log_bound=minima.log_max + math.log(d * rank),
+                log_bound=minima.log_minima[-1] + math.log(d * rank),
                 within_bound=q2 <= minima.sq_minima[-1] * (d * rank) ** 2,
             )
     raise VerificationError("nonzero form vanished on the whole grid; impossible")

@@ -276,7 +276,7 @@ def check_bound_consistency() -> str:
 def asymptotic_lines(hi: int, sieve: arith.PrimePowerSieve) -> list[str]:
     """The committed reference format: one line per exponent, repr-formatted floats."""
     lines = []
-    for exponent in (0.535, 23 / 18):
+    for exponent in bands.GROWTH_EXPONENTS:
         r = bands.asymptotic_report(hi, exponent, sieve)
         lines.append(
             f"max={r.n} exponent={r.exponent!r} partial_sum={r.partial_sum}"

@@ -161,6 +161,18 @@ class TestLambdaFloor:
         with pytest.raises(ParameterError):
             lambda_floor(s, 6)
 
+    @pytest.mark.parametrize("floor", [lambda_floor, mu_floor])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_e_val_rejected(self, floor, bad):
+        s = SurfaceData(2, 12, 7.0, 1.5, 0.8, RATIONAL_FIELD)
+        with pytest.raises(ParameterError, match=r"^e_val must be finite, got (nan|inf|-inf)$"):
+            floor(s, 3, bad)
+        # k and m are checked first, in the same place
+        with pytest.raises(ParameterError, match="^k must exceed 1"):
+            floor(s, 1, bad)
+        with pytest.raises(ParameterError, match="^need m > 2k"):
+            floor(s, 6, bad)
+
 
 class TestMuFloor:
     def test_k_two_boundary(self):
@@ -302,6 +314,22 @@ class TestOmegaPowerBounds:
         with pytest.raises(ParameterError):
             omega_mu_floor(2, 1, 1, 1.0, RATIONAL_FIELD)
 
+    @pytest.mark.parametrize("floor", [omega_lambda_floor, omega_mu_floor])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])  # 1e308: l2 = n^2 omega2 overflows
+    def test_non_finite_omega2_rejected(self, floor, bad):
+        with pytest.raises(ParameterError, match="^intersection numbers must be finite"):
+            floor(3, 2, 1, bad, RATIONAL_FIELD)
+
+    @pytest.mark.parametrize("floor", [omega_lambda_floor, omega_mu_floor])
+    def test_surface_checked_before_k(self, floor):
+        # the omega-power surface's checks come first, then the range of k
+        with pytest.raises(ParameterError, match="^genus must be >= 2, got 1$"):
+            floor(1, 2, 1, 1.0, RATIONAL_FIELD)
+        with pytest.raises(ParameterError, match="^power must be >= 1, got 0$"):
+            floor(3, 0, 1, 1.0, RATIONAL_FIELD)
+        with pytest.raises(ParameterError, match="^omega2 must be >= 0, got -1.0$"):
+            floor(3, 2, 9, -1.0, RATIONAL_FIELD)
+
 
 class TestReports:
     def test_replay_is_bit_identical(self):
@@ -337,3 +365,40 @@ class TestReports:
                 "top-odd",
                 {"g": 2, "m": 12, "L2": 1.0, "Lw": 0.0, "w2": 0.0, "degK": 1, "r1": 1, "r2": 0, "log_disc": 0.0},
             )
+
+    def test_defaults_filled_and_echoed(self):
+        r = make_report("height", g=2, m=2, L2=1.0, degK=1, r1=1, r2=0, log_disc=0.0)
+        assert ("Lw", 0.0) in r.inputs and ("w2", 0.0) in r.inputs
+        assert r.value == make_report("height", g=2, m=2, L2=1.0, Lw=0.0, w2=0.0, degK=1, r1=1, r2=0, log_disc=0.0).value
+        assert r.replay() == r.value
+        c = make_report("constant", N=2, degK=1, r1=1, r2=0, log_disc=0.0)
+        assert ("rank_shift", False) in c.inputs
+
+    def test_e_val_left_out_is_not_echoed(self):
+        field = {"degK": 1, "r1": 1, "r2": 0, "log_disc": 0.0}
+        implicit = make_report("lambda", g=2, m=12, k=3, L2=7.0, **field)
+        explicit = make_report("lambda", g=2, m=12, k=3, L2=7.0, e_val=None, **field)
+        assert implicit == explicit
+        assert "e_val" not in dict(implicit.inputs)
+        given = make_report("lambda", g=2, m=12, k=3, L2=7.0, e_val=0.2, **field)
+        assert dict(given.inputs)["e_val"] == 0.2
+        assert given.value == lambda_floor(SurfaceData(2, 12, 7.0, 0.0, 0.0, RATIONAL_FIELD), 3, 0.2)
+
+    @pytest.mark.parametrize(
+        "kind, inputs, error",
+        [
+            ("lambda", {"g": 2, "m": 12, "L2": 7.0, "degK": 1, "r1": 1, "r2": 0, "log_disc": 0.0}, "bound lambda needs k"),
+            ("height", {"g": 2, "m": 2, "L2": 1.0, "degK": 1, "r1": 1, "r2": 0}, "bound height needs log_disc"),
+            ("omega-mu", {"g": 3, "n": 2, "w2": 1.0}, "bound omega-mu needs k, degK, r1, r2, log_disc"),
+            ("top-odd", {"g": 2, "m": 11, "L2": 4.0, "k": 3, "zzz": 1}, "bound top-odd does not read k, zzz"),
+            ("constant", {"g": 2}, "bound constant does not read g"),
+        ],
+        ids=["no-k", "no-log-disc", "no-k-no-field", "unread", "unread-before-missing"],
+    )
+    def test_missing_or_unread_input_rejected(self, kind, inputs, error):
+        with pytest.raises(ParameterError, match=f"^{error}$"):
+            make_report(kind, **inputs)
+        with pytest.raises(ParameterError, match=f"^{error}$"):
+            evaluate(kind, inputs)
+        with pytest.raises(ParameterError, match=f"^{error}$"):
+            BoundReport(kind, 0.0, tuple(sorted(inputs.items()))).replay()

@@ -261,6 +261,11 @@ class TestBoundsCommand:
              "intersection numbers must be finite, got l2=nan, l_omega=nan, omega2=nan"),
             ("omega-lambda --g 3 --n 2 --k 1 --w2 inf",
              "intersection numbers must be finite, got l2=inf, l_omega=inf, omega2=inf"),
+            # a finite omega2 whose n^2 * omega2 overflows
+            ("omega-lambda --g 3 --n 2 --k 1 --w2 1e308",
+             "intersection numbers must be finite, got l2=inf, l_omega=inf, omega2=1e+308"),
+            ("omega-mu --g 3 --n 2 --k 1 --w2 1e308",
+             "intersection numbers must be finite, got l2=inf, l_omega=inf, omega2=1e+308"),
             ("lambda --g 2 --m 12 --k 3 --L2 7.0 --e-val nan", "e_val must be finite, got nan"),
             ("mu --g 2 --m 12 --k 3 --L2 7.0 --e-val=-inf", "e_val must be finite, got -inf"),
         ],

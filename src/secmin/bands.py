@@ -13,7 +13,9 @@ With P the largest power of p that is <= n, that band is n - P when P > n//2
 largest prime <= n leaves (Nagura).  So min_band(n) is the prime-power gap,
 found from that prime and the powers of the primes <= sqrt(n) with no table
 up to n.
-band_gcd keeps the exact bignum GCD scan as the oracle the tests hold it to.
+prime_divides_band reads the band's definition through a p-adic walk on small
+integers, and band_gcd keeps the exact bignum GCD scan as the oracle the tests
+hold min_band and the walk to.
 
 Range verifications read the sieve's prime-power byte table with C-level
 bytes.find/rfind; they are deterministic and embarrassingly parallel over n.
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import compress
+from itertools import accumulate, compress, islice
+from operator import sub
 from typing import NamedTuple
 
 from .arith import PrimePowerSieve, build_sieve, is_prime, largest_undivided, primes_covering, require_prime
@@ -53,13 +56,18 @@ class GapSumReport(NamedTuple):
     max_ratio: float
     argmax: int
 
+    def record(self) -> dict:
+        """The fields as the CLI and the reference log print them, n named max."""
+        return {"max": self.n, "exponent": self.exponent, "partial_sum": self.partial_sum,
+                "ratio": self.ratio, "max_ratio": self.max_ratio, "argmax": self.argmax}
+
 
 def band_gcd(n: int, b: int) -> int:
     """Exact GCD of the binomials C(n, m) over the open band b < m < n - b.
 
     Scans only up to the middle (the band is symmetric) and stops early once
     the running GCD reaches 1.  An empty band yields gcd 0.  This bignum scan
-    is the exact oracle for min_band.
+    is the tests' exact oracle for min_band and prime_divides_band.
     """
     if n < 2:
         raise ParameterError(f"band_gcd needs n >= 2, got {n}")
@@ -74,6 +82,25 @@ def band_gcd(n: int, b: int) -> int:
             break
         c = c * (n - m) // (m + 1)
     return g
+
+
+def prime_divides_band(n: int, b: int, p: int) -> bool:
+    """True iff the prime p divides every C(n, m) with b < m < n - b; an empty band counts.
+
+    A p-adic walk on small integers, v_p(C(n, m + 1)) = v_p(C(n, m)) + v_p(n - m) - v_p(m + 1)
+    from m = 0 to n//2 (the band is symmetric): no carries or digits, so prime_band is not read.
+    """
+    if n < 2 or b < 0:
+        raise ParameterError(f"prime_divides_band needs n >= 2 and b >= 0, got n={n}, b={b}")
+    require_prime(p)
+    val = [0] * (n + 1)  # val[x] = v_p(x) for 1 <= x <= n
+    q = p
+    while q <= n:
+        val[q::q] = [v + 1 for v in val[q::q]]
+        q *= p
+    half = n // 2
+    walk = accumulate(map(sub, val[n : n - half : -1], val[1 : half + 1]))  # v_p(C(n, m)), m = 1..half
+    return min(islice(walk, b, None), default=1) > 0
 
 
 def min_band(n: int) -> int:
@@ -198,31 +225,39 @@ def asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve) ->
     range_hi, M at its start), then per run (x = P or E).  The rest are scanned per n in
     order with strict >, so the report is bit-identical to a scan of every n.
     """
+    return asymptotic_reports(range_hi, (exponent,), sieve)[0]
+
+
+def asymptotic_reports(range_hi: int, exponents, sieve: PrimePowerSieve) -> list[GapSumReport]:
+    """asymptotic_report for each exponent in turn, the partial sum computed once; the first bad one raises."""
     if range_hi < 2:
         raise ParameterError(f"range_hi must be >= 2, got {range_hi}")
-    if not math.isfinite(exponent) or abs(exponent) * math.log(range_hi) > 708:
-        raise ParameterError(f"exponent {exponent!r} leaves n**exponent outside the float range up to n={range_hi}")
     t = _covering_table(range_hi, sieve)
     total = sum(c * w * (w + 1) // 2 for w, c in Counter(map(len, t[2 : range_hi + 1].split(b"\x01"))).items())
-    max_ratio, argmax = 0.0, 2  # the scan of every n after n = 2
-    for lo in (2 << j for j in range((range_hi // 2).bit_length())):
-        least = max_ratio * (1 - 1e-9) * (lo if exponent >= 0 else range_hi) ** exponent
-        if least > range_hi:  # before ceil: an inf M ends the loop and raises below
-            break  # M and lo only grow, so no later block has a run this long
-        zeros = bytes(max(math.ceil(least), 1))
-        stop = min(2 * lo + len(zeros), range_hi + 1)
-        i = t.find(zeros, lo + 1, stop)
-        while i >= 0:
-            p = t.rfind(1, 0, i)  # below lo for a run reaching in from the block before: seen again, to no effect
-            q = t.find(1, i, range_hi + 1)
-            end = q - 1 if q >= 0 else range_hi
-            if (end - p) / (p if exponent >= 0 else end) ** exponent >= max_ratio * (1 - 1e-9):
-                for n in range(p, end + 1):
-                    r = (n - p) / n**exponent
-                    if r > max_ratio:
-                        max_ratio, argmax = r, n
-            i = t.find(zeros, end + 2, stop)
-    ratio = total / range_hi**exponent
-    if not (math.isfinite(ratio) and math.isfinite(max_ratio)):
-        raise ParameterError(f"exponent {exponent!r} sends the ratios past the float range up to n={range_hi}")
-    return GapSumReport(range_hi, total, exponent, ratio, max_ratio, argmax)
+    reports = []
+    for exponent in exponents:
+        if not math.isfinite(exponent) or abs(exponent) * math.log(range_hi) > 708:
+            raise ParameterError(f"exponent {exponent!r} leaves n**exponent outside the float range up to n={range_hi}")
+        max_ratio, argmax = 0.0, 2  # the scan of every n after n = 2
+        for lo in (2 << j for j in range((range_hi // 2).bit_length())):
+            least = max_ratio * (1 - 1e-9) * (lo if exponent >= 0 else range_hi) ** exponent
+            if least > range_hi:  # before ceil: an inf M ends the loop and raises below
+                break  # M and lo only grow, so no later block has a run this long
+            zeros = bytes(max(math.ceil(least), 1))
+            stop = min(2 * lo + len(zeros), range_hi + 1)
+            i = t.find(zeros, lo + 1, stop)
+            while i >= 0:
+                p = t.rfind(1, 0, i)  # below lo for a run from the block before: seen again, to no effect
+                q = t.find(1, i, range_hi + 1)
+                end = q - 1 if q >= 0 else range_hi
+                if (end - p) / (p if exponent >= 0 else end) ** exponent >= max_ratio * (1 - 1e-9):
+                    for n in range(p, end + 1):
+                        r = (n - p) / n**exponent
+                        if r > max_ratio:
+                            max_ratio, argmax = r, n
+                i = t.find(zeros, end + 2, stop)
+        ratio = total / range_hi**exponent
+        if not (math.isfinite(ratio) and math.isfinite(max_ratio)):
+            raise ParameterError(f"exponent {exponent!r} sends the ratios past the float range up to n={range_hi}")
+        reports.append(GapSumReport(range_hi, total, exponent, ratio, max_ratio, argmax))
+    return reports

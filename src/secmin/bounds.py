@@ -184,10 +184,13 @@ def omega_power_surface(genus: int, n: int, omega2: float, field: NumberFieldDat
         raise ParameterError(f"genus must be >= 2, got {genus}")
     if n < 1:
         raise ParameterError(f"power must be >= 1, got {n}")
+    l2 = n * n * omega2
+    if math.isinf(l2) and math.isfinite(omega2):
+        raise ParameterError(f"intersection numbers must be finite, but l2 = n^2 * w2 overflows at n={n}, w2={omega2}")
     return SurfaceData(
         genus=genus,
         degree=2 * (genus - 1) * n,
-        l2=n * n * omega2,
+        l2=l2,
         l_omega=n * omega2,
         omega2=omega2,
         field=field,

@@ -68,20 +68,7 @@ def cmd_bands(args) -> tuple[list[dict], str]:
         ], "pass"
     hi = args.max if args.max is not None else 10**6
     sieve = arith.build_sieve(hi)
-    out = []
-    for exponent in args.exponent or bands.GROWTH_EXPONENTS:
-        r = bands.asymptotic_report(hi, exponent, sieve)
-        out.append(
-            {
-                "max": r.n,
-                "exponent": r.exponent,
-                "partial_sum": r.partial_sum,
-                "ratio": r.ratio,
-                "max_ratio": r.max_ratio,
-                "argmax": r.argmax,
-            }
-        )
-    return out, "report"
+    return [r.record() for r in bands.asymptotic_reports(hi, args.exponent or bands.GROWTH_EXPONENTS, sieve)], "report"
 
 
 def cmd_secant(args) -> tuple[list[dict], str]:

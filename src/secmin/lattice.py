@@ -1,11 +1,12 @@
 """Desk-scale laboratory for small integer lattices given by Gram matrices.
 
-Exact successive minima by bounded enumeration on integer Bareiss pivots,
-whose per-level windows are exact integer square roots; exact rational dual
-Gram matrices as the integer adjugate over the determinant; minimal covolumes
-of primitive sublattices as the shortest decomposable vectors of compound
-lattices; a two-sided transference check of minima against dual sublattice
-heights; and grid avoidance of hypersurfaces.
+One Bareiss pass per Gram matrix validates it and gives its determinant and
+the pivots of exact successive minima by bounded enumeration, whose per-level
+windows are exact integer square roots; exact rational dual Gram matrices as
+the integer adjugate (fraction-free Gauss-Jordan) over the determinant; minimal
+covolumes of primitive sublattices as the shortest decomposable vectors of
+compound lattices; a two-sided transference check of minima against dual
+sublattice heights; and grid avoidance of hypersurfaces.
 
 Everything is exact except the final logarithms: squared minima are integers,
 squared covolumes are rationals, and comparisons in tests can therefore be
@@ -51,32 +52,51 @@ def _int_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _echelon(gram) -> tuple[tuple[int, ...], ...]:
+    """Fraction-free upper-triangular form of a symmetric G: one Bareiss pass, no row swaps.
+
+    Entry (k, j), j >= k, is the minor on rows 0..k and columns 0..k-1, j (Sylvester), so
+    pivot k is the leading principal minor D_(k+1) and the last is det G.  G is positive
+    definite iff every pivot is positive; the pass raises ParameterError at the first that
+    is not.  Each step keeps the trailing block symmetric, so only its upper triangle moves.
+    """
+    n = len(gram)
+    rows = [list(r) for r in gram]
+    prev = 1
+    for k in range(n):
+        top = rows[k]
+        pivot = top[k]
+        if pivot <= 0:
+            raise ParameterError(f"leading principal minor {k + 1} is {pivot}, not positive")
+        for i in range(k + 1, n):
+            row, a = rows[i], top[i]
+            for j in range(i, n):
+                row[j] = (row[j] * pivot - a * top[j]) // prev
+        prev = pivot
+    return tuple((0,) * i + tuple(row[i:]) for i, row in enumerate(rows))
+
+
 class _GramFields(NamedTuple):
     gram: tuple[tuple[int, ...], ...]
+    echelon: tuple[tuple[int, ...], ...]
 
 
 class GramLattice(_GramFields):
-    """Full-rank integer lattice described by its positive-definite Gram matrix."""
+    """Full-rank integer lattice described by its positive-definite Gram matrix; echelon, its
+    _echelon, is computed once by the validation and read by every enumeration on it and by det."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        n = len(self.gram)
+    def __new__(cls, gram):
+        n = len(gram)
         if n < 1 or n > MAX_RANK:
             raise ParameterError(f"rank must be in [1, {MAX_RANK}], got {n}")
-        for row in self.gram:
+        for row in gram:
             if len(row) != n or any(not isinstance(x, int) for x in row):
                 raise ParameterError("Gram matrix must be square with integer entries")
-        for i in range(n):
-            for j in range(i):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ParameterError("Gram matrix must be symmetric")
-        for k in range(1, n + 1):
-            minor = _int_det([[self.gram[i][j] for j in range(k)] for i in range(k)])
-            if minor <= 0:
-                raise ParameterError(f"leading principal minor {k} is {minor}, not positive")
-        return self
+        if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
+            raise ParameterError("Gram matrix must be symmetric")
+        return super().__new__(cls, gram, _echelon(gram))
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> "GramLattice":
@@ -88,7 +108,7 @@ class GramLattice(_GramFields):
 
     @property
     def det(self) -> int:
-        return _int_det(self.gram)
+        return self.echelon[-1][-1]
 
     def norm2(self, v: tuple[int, ...]) -> int:
         g = self.gram
@@ -99,10 +119,6 @@ class RationalGram(NamedTuple):
     """Exact rational Gram matrix, used for dual lattices."""
 
     entries: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.entries)
 
 
 class MinimaProfile(NamedTuple):
@@ -182,17 +198,15 @@ def short_vectors(gram, bound2: int, budget: int = DEFAULT_BUDGET) -> list[tuple
     nonzero coordinate positive and reports each vector with its first
     nonzero coordinate positive.  Raises when the step budget is exceeded.
     """
-    n = len(gram)
+    return _short_vectors(_echelon(gram), bound2, budget)
+
+
+def _short_vectors(lam, bound2: int, budget: int) -> list[tuple[int, tuple[int, ...]]]:
+    """short_vectors on the Bareiss entries lam = _echelon(G), shared by every radius tried on G."""
+    n = len(lam)
     if bound2 < 0:
         return []
-    lam = [list(row) for row in gram]
-    minors = [1]
-    for k in range(n):
-        pivot = lam[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                lam[i][j] = (lam[i][j] * pivot - lam[i][k] * lam[k][j]) // minors[k]
-        minors.append(pivot)
+    minors = [1] + [lam[k][k] for k in range(n)]
     scale = math.lcm(*(minors[i] * minors[i + 1] for i in range(n)))
     weight = [scale // (minors[i] * minors[i + 1]) for i in range(n)]
     out: list[tuple[int, tuple[int, ...]]] = []
@@ -268,7 +282,7 @@ def successive_minima(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> MinimaP
     while True:
         chosen: list[tuple[int, tuple[int, ...]]] = []
         rows: list[list[int]] = []
-        for q2, v in short_vectors(lat.gram, bound2, budget):
+        for q2, v in _short_vectors(lat.echelon, bound2, budget):
             if _extends_rank(rows, v):
                 chosen.append((q2, v))
                 if len(chosen) == n:
@@ -288,15 +302,21 @@ def successive_minima(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> MinimaP
 
 
 def _adjugate(rows: list[list[int]]) -> list[list[int]]:
-    """Integer adjugate: adj[i][j] is the (j, i) cofactor, a Bareiss minor."""
+    """Integer adjugate of a positive-definite G by fraction-free Gauss-Jordan on [G | I]: each
+    step clears the pivot's column from every other row, dividing exactly by the previous
+    pivot (a leading minor, so no row swap is needed), and the last leaves [det(G) . I | adj(G)]."""
     n = len(rows)
-    return [
-        [
-            (-1) ** (i + j) * _int_det([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        top = aug[k]
+        pivot = top[k]
+        for i, row in enumerate(aug):
+            if i != k:
+                a = row[k]
+                aug[i] = [(x * pivot - a * t) // prev for x, t in zip(row, top)]
+        prev = pivot
+    return [row[n:] for row in aug]
 
 
 def _adjugate_lattice(lat: GramLattice) -> GramLattice:
@@ -398,8 +418,8 @@ def dual_heights(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> tuple[tuple[
     """Exact squared covolumes of minimal primitive sublattices of the dual."""
     adj = _adjugate_lattice(lat)
     table = sublattice_heights(adj, budget)
-    det = lat.det
-    sq = tuple(c / Fraction(det) ** p for p, c in enumerate(table.covol2, start=1))
+    # the adjugate is integral, so its squared covolumes are integers
+    sq = tuple(Fraction(c.numerator, lat.det**p) for p, c in enumerate(table.covol2, start=1))
     return sq, tuple(0.5 * (math.log(q.numerator) - math.log(q.denominator)) for q in sq)
 
 

@@ -21,36 +21,21 @@ from .errors import ParameterError, VerificationError
 SEED_GRAM = 987001
 SEED_FORMS = 987002
 
-FULL = {
-    "identity_hi": 3000,
-    "prime_power_hi": 3000,
-    "quarter_hi": 10**6,
-    "kummer_hi": 500,
-    "prime_band_hi": 2000,
-    "secant_g": 6,
-    "secant_d": 6,
-    "secant_m": 40,
-    "curve_g": 10,
-    "curve_m": 50,
-    "transference_count": 500,
-    "avoidance_count": 200,
-    "asymptotic_hi": 10**6,
-}
-
-QUICK = {
-    "identity_hi": 300,
-    "prime_power_hi": 300,
-    "quarter_hi": 10**5,
-    "kummer_hi": 120,
-    "prime_band_hi": 300,
-    "secant_g": 3,
-    "secant_d": 4,
-    "secant_m": 16,
-    "curve_g": 5,
-    "curve_m": 20,
-    "transference_count": 40,
-    "avoidance_count": 40,
-    "asymptotic_hi": 10**5,
+# each check's range or count: (full run, --quick)
+RANGES = {
+    "identity_hi": (3000, 300),
+    "prime_power_hi": (3000, 300),
+    "quarter_hi": (10**6, 10**5),
+    "kummer_hi": (500, 120),
+    "prime_band_hi": (2000, 300),
+    "secant_g": (6, 3),
+    "secant_d": (6, 4),
+    "secant_m": (40, 16),
+    "curve_g": (10, 5),
+    "curve_m": (50, 20),
+    "transference_count": (500, 40),
+    "avoidance_count": (200, 40),
+    "asymptotic_hi": (10**6, 10**5),
 }
 
 
@@ -61,17 +46,10 @@ class CheckResult(NamedTuple):
     elapsed_ms: int
 
 
-class SuiteRun:
-    """run_all's checks in order (iterating yields them) and the time of the sieve they share."""
+class SuiteRun(list):
+    """run_all's checks in order, and sieve_ms, the time of the sieve they share."""
 
-    __slots__ = ("checks", "sieve_ms")
-
-    def __init__(self, checks: list[CheckResult], sieve_ms: int) -> None:
-        self.checks = checks
-        self.sieve_ms = sieve_ms
-
-    def __iter__(self):
-        return iter(self.checks)
+    __slots__ = ("sieve_ms",)
 
 
 def _timed(name, fn) -> CheckResult:
@@ -93,12 +71,17 @@ def check_band_gap_identity(hi: int) -> str:
 
 
 def check_prime_power_vanishing(hi: int) -> str:
-    """The definition at each prime power q: the binomials C(q, m), 0 < m < q, share a divisor."""
-    prime_powers = [q for q, marked in enumerate(arith.build_sieve(hi).is_prime_power) if marked]
-    for q in prime_powers:
-        if bands.band_gcd(q, 0) == 1:
-            raise VerificationError(f"C({q}, m) for 0 < m < {q} have gcd 1, expected band 0")
-    return f"{len(prime_powers)} prime powers <= {hi}, all with band 0"
+    """The definition at each prime power q = p^k: the binomials C(q, m), 0 < m < q, share a divisor.
+    p divides them all (a p-adic walk); if it did not, their gcd would be 1, as C(q, 1) = q."""
+    count = 0
+    for p in arith.build_sieve(hi).primes():
+        q = p
+        while q <= hi:
+            if not bands.prime_divides_band(q, 0, p):
+                raise VerificationError(f"C({q}, m) for 0 < m < {q} have gcd 1, expected band 0")
+            count += 1
+            q *= p
+    return f"{count} prime powers <= {hi}, all with band 0"
 
 
 def check_quarter_bound(hi: int, sieve: arith.PrimePowerSieve) -> str:
@@ -275,18 +258,12 @@ def check_bound_consistency() -> str:
 
 def asymptotic_lines(hi: int, sieve: arith.PrimePowerSieve) -> list[str]:
     """The committed reference format: one line per exponent, repr-formatted floats."""
-    lines = []
-    for exponent in bands.GROWTH_EXPONENTS:
-        r = bands.asymptotic_report(hi, exponent, sieve)
-        lines.append(
-            f"max={r.n} exponent={r.exponent!r} partial_sum={r.partial_sum}"
-            f" ratio={r.ratio!r} max_ratio={r.max_ratio!r} argmax={r.argmax}"
-        )
-    return lines
+    reports = bands.asymptotic_reports(hi, bands.GROWTH_EXPONENTS, sieve)
+    return [" ".join(f"{key}={v!r}" for key, v in r.record().items()) for r in reports]
 
 
 def run_all(quick: bool = False) -> SuiteRun:
-    p = QUICK if quick else FULL
+    p = {name: pair[quick] for name, pair in RANGES.items()}
     t0 = time.perf_counter()
     sieve = arith.build_sieve(max(p["quarter_hi"], p["asymptotic_hi"]))
     sieve_ms = int(1000 * (time.perf_counter() - t0))
@@ -303,4 +280,6 @@ def run_all(quick: bool = False) -> SuiteRun:
         _timed("bound-consistency", check_bound_consistency),
         _timed("asymptotic-report", lambda: "; ".join(asymptotic_lines(p["asymptotic_hi"], sieve))),
     ]
-    return SuiteRun(checks, sieve_ms)
+    run = SuiteRun(checks)
+    run.sieve_ms = sieve_ms
+    return run

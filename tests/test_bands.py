@@ -21,9 +21,11 @@ from secmin.arith import (
 from secmin.bands import (
     GapSumReport,
     asymptotic_report,
+    asymptotic_reports,
     band_gcd,
     min_band,
     prime_band,
+    prime_divides_band,
     prime_power_gap,
     verify_band_gap_identity,
     verify_quarter_bound,
@@ -157,13 +159,14 @@ def assert_quarter_bound_matches_scans(range_hi: int, sieve: PrimePowerSieve) ->
     return first_bad
 
 
+def bits(report: GapSumReport) -> tuple:
+    """A report's fields with floats as exact bit patterns (0.0 != -0.0)."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in report._asdict().values())
+
+
 def assert_report_matches_scan(range_hi: int, exponent: float, sieve: PrimePowerSieve) -> None:
     """Equal reports from the table, the stretch walk and the scan of every n,
-    floats compared as exact bit patterns (0.0 != -0.0)."""
-
-    def bits(report: GapSumReport) -> tuple:
-        return tuple(v.hex() if isinstance(v, float) else v for v in report._asdict().values())
-
+    floats compared as exact bit patterns."""
     pp = listed_prime_powers(sieve)
     got = bits(asymptotic_report(range_hi, exponent, sieve))
     assert got == bits(stretch_asymptotic_report(range_hi, exponent, pp))
@@ -193,6 +196,37 @@ class TestBandGcd:
 
     def test_empty_band(self):
         assert band_gcd(5, 2) == 0
+
+
+SMALL_PRIMES = [p for p in range(2, 500) if is_prime(p)]
+
+
+class TestPrimeDividesBand:
+    def test_every_prime_power_to_3000_against_band_gcd(self):
+        count = 0
+        for p in build_sieve(3000).primes():
+            q = p
+            while q <= 3000:
+                assert prime_divides_band(q, 0, p)
+                assert band_gcd(q, 0) % p == 0
+                count += 1
+                q *= p
+        assert count == 466
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=2, max_value=400), st.integers(min_value=0, max_value=201), st.sampled_from(SMALL_PRIMES))
+    @example(10, 0, 2)  # C(10, 2) = 45 is odd
+    @example(27, 0, 3)
+    @example(28, 0, 3)  # C(28, 1) = 28
+    @example(9, 4, 5)  # empty band: band_gcd 0, which every prime divides
+    def test_against_band_gcd(self, n, b, p):
+        b %= n // 2 + 2  # every band of row n, the empty one included
+        assert prime_divides_band(n, b, p) == (band_gcd(n, b) % p == 0)
+
+    def test_validation(self):
+        for n, b, p in [(1, 0, 2), (5, -1, 2), (8, 0, 4), (8, 0, 1)]:
+            with pytest.raises(ParameterError):
+                prime_divides_band(n, b, p)
 
 
 class TestMinBand:
@@ -479,13 +513,13 @@ class TestVerifiers:
         assert prime_failures == [10]
 
     def test_prime_power_vanishing_reads_the_definition(self, monkeypatch):
-        # a band GCD of 1 at one prime power must fail the check, whatever min_band says
-        band_gcd_exact = bands.band_gcd
+        # a walk that leaves the band at one prime power must fail the check, whatever min_band says
+        walk_exact = bands.prime_divides_band
 
-        def coprime_at_27(n, b):
-            return 1 if n == 27 else band_gcd_exact(n, b)
+        def undivided_at_27(n, b, p):
+            return False if n == 27 else walk_exact(n, b, p)
 
-        monkeypatch.setattr(bands, "band_gcd", coprime_at_27)
+        monkeypatch.setattr(bands, "prime_divides_band", undivided_at_27)
         with pytest.raises(VerificationError, match=r"C\(27, m\) for 0 < m < 27 have gcd 1"):
             suite.check_prime_power_vanishing(300)
         assert suite.check_prime_power_vanishing(26) == "14 prime powers <= 26, all with band 0"
@@ -611,6 +645,27 @@ class TestAsymptoticReport:
         for e in (61.0, -60.0):
             r = asymptotic_report(10**5, e, sieve)
             assert math.isfinite(r.ratio) and math.isfinite(r.max_ratio) and r.max_ratio > 0
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=2 * 10**4),
+        st.lists(st.one_of(st.sampled_from(REPORT_EXPONENTS), st.floats(min_value=-3, max_value=3)), max_size=4),
+    )
+    @example(10**5, [0.535, 23 / 18])
+    def test_shared_sum_matches_one_report_per_exponent(self, range_hi, exponents):
+        sieve = build_sieve(range_hi)
+        pp = listed_prime_powers(sieve)
+        got = [bits(r) for r in asymptotic_reports(range_hi, exponents, sieve)]
+        assert got == [bits(asymptotic_report(range_hi, e, sieve)) for e in exponents]
+        assert got == [bits(stretch_asymptotic_report(range_hi, e, pp)) for e in exponents]
+
+    def test_first_bad_exponent_raises(self):
+        sieve = build_sieve(1000)
+        with pytest.raises(ParameterError, match=r"^exponent -200\.0 leaves"):
+            asymptotic_reports(1000, [0.5, -200.0, -102.0], sieve)
+        with pytest.raises(ParameterError, match=r"^exponent -102\.0 sends"):
+            asymptotic_reports(1000, [0.5, -102.0, -200.0], sieve)
 
 
 class TestCoprimalityBand:

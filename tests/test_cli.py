@@ -262,10 +262,8 @@ class TestBoundsCommand:
             ("omega-lambda --g 3 --n 2 --k 1 --w2 inf",
              "intersection numbers must be finite, got l2=inf, l_omega=inf, omega2=inf"),
             # a finite omega2 whose n^2 * omega2 overflows
-            ("omega-lambda --g 3 --n 2 --k 1 --w2 1e308",
-             "intersection numbers must be finite, got l2=inf, l_omega=inf, omega2=1e+308"),
-            ("omega-mu --g 3 --n 2 --k 1 --w2 1e308",
-             "intersection numbers must be finite, got l2=inf, l_omega=inf, omega2=1e+308"),
+            ("omega-lambda --g 3 --n 2 --k 1 --w2 1e308", "intersection numbers must be finite, but l2 = n^2 * w2 overflows at n=2, w2=1e+308"),
+            ("omega-mu --g 3 --n 2 --k 1 --w2 1e308", "intersection numbers must be finite, but l2 = n^2 * w2 overflows at n=2, w2=1e+308"),
             ("lambda --g 2 --m 12 --k 3 --L2 7.0 --e-val nan", "e_val must be finite, got nan"),
             ("mu --g 2 --m 12 --k 3 --L2 7.0 --e-val=-inf", "e_val must be finite, got -inf"),
         ],

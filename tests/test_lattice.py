@@ -212,6 +212,33 @@ def int_det(rows):
     return total
 
 
+def cofactor_adjugate(rows):
+    """Test oracle, the former adjugate: adj[i][j] is the (j, i) cofactor."""
+    n = len(rows)
+    return [
+        [
+            (-1) ** (i + j) * lattice._int_det([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def symmetric_matrices(rank, spread):
+    """Hypothesis strategy: symmetric integer matrices with |entries| <= spread, definite or not."""
+    upper = st.lists(st.integers(-spread, spread), min_size=rank * (rank + 1) // 2, max_size=rank * (rank + 1) // 2)
+
+    def fill(entries):
+        it = iter(entries)
+        rows = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                rows[i][j] = rows[j][i] = next(it)
+        return rows
+
+    return upper.map(fill)
+
+
 def random_pd_gram(rng, rank, spread=2):
     while True:
         a = [[rng.randint(-spread, spread) for _ in range(rank)] for _ in range(rank)]
@@ -282,6 +309,39 @@ class TestGramLattice:
         rank = data.draw(st.integers(min_value=1, max_value=6))
         lat = data.draw(gram_lattices(rank, spread=3))
         assert lat.det == lattice._int_det(lat.gram) == int_det(lat.gram)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_one_pass_matches_leading_minors(self, data):
+        # the echelon against one determinant per minor, and the first
+        # nonpositive leading minor named exactly on indefinite input
+        rank = data.draw(st.integers(min_value=1, max_value=6))
+        if data.draw(st.booleans()):
+            rows = [list(r) for r in data.draw(gram_lattices(rank, spread=3)).gram]
+        else:
+            rows = data.draw(symmetric_matrices(rank, spread=data.draw(st.sampled_from([2, 9]))))
+        minors = [lattice._int_det([r[:k] for r in rows[:k]]) for k in range(1, rank + 1)]
+        bad = next(((k, d) for k, d in enumerate(minors, start=1) if d <= 0), None)
+        if bad is not None:
+            with pytest.raises(ParameterError, match=rf"^leading principal minor {bad[0]} is {bad[1]}, not positive$"):
+                GramLattice.from_rows(rows)
+            return
+        lat = GramLattice.from_rows(rows)
+        assert lat.det == minors[-1]
+        for k in range(rank):
+            for j in range(rank):
+                # entry (k, j) is the minor on rows 0..k and columns 0..k-1, j; zero below the diagonal
+                want = lattice._int_det([r[:k] + [r[j]] for r in rows[: k + 1]]) if j >= k else 0
+                assert lat.echelon[k][j] == want
+
+    def test_one_bareiss_pass_per_gram(self, monkeypatch):
+        calls = []
+        real = lattice._echelon
+        monkeypatch.setattr(lattice, "_echelon", lambda gram: calls.append(gram) or real(gram))
+        lat = GramLattice.from_rows(SKEWED4.gram)
+        successive_minima(lat)
+        assert lat.det == 4 and len(calls) == 1
 
 
 class TestSuccessiveMinima:
@@ -365,6 +425,13 @@ class TestDualLattice:
             dual_heights(HEXAGONAL)
         with pytest.raises(VerificationError):
             dual_lattice(HEXAGONAL)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_adjugate_matches_cofactors(self, data):
+        rank = data.draw(st.integers(min_value=1, max_value=6))
+        rows = [list(r) for r in data.draw(gram_lattices(rank, spread=4)).gram]
+        assert lattice._adjugate(rows) == cofactor_adjugate(rows)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -63,6 +63,41 @@ class TestImmutable:
         assert record == tuple(getattr(record, name) for name in record._fields)
 
 
+FIELDS = {
+    "BandGapRecord": ("n", "gap", "witness_prime_power"),
+    "GapSumReport": ("n", "partial_sum", "exponent", "ratio", "max_ratio", "argmax"),
+    "NumberFieldData": ("degree", "real_places", "complex_places", "log_disc"),
+    "SurfaceData": ("genus", "degree", "l2", "l_omega", "omega2", "field"),
+    "BoundReport": ("kind", "value", "inputs"),
+    "GramLattice": ("gram", "echelon"),
+    "RationalGram": ("entries",),
+    "MinimaProfile": ("lattice", "sq_minima", "log_minima", "witnesses"),
+    "SublatticeHeightTable": ("lattice", "covol2", "log_heights"),
+    "TransferenceRow": ("p", "lower", "minima_sum", "upper", "printed_upper"),
+    "TransferenceReport": ("lattice", "constant", "rows"),
+    "HomogeneousForm": ("num_vars", "degree", "terms"),
+    "AvoidanceResult": ("grid_vector", "lattice_vector", "value", "log_norm", "log_bound", "within_bound"),
+    "SecantParams": ("genus", "bundle_degree", "index"),
+    "CheckResult": ("name", "ok", "detail", "elapsed_ms"),
+}
+
+AS_DICT = {
+    "BandGapRecord": {"n": 10, "gap": 1, "witness_prime_power": 9},
+    "SecantParams": {"genus": 1, "bundle_degree": 5, "index": 2},
+}
+
+
+@pytest.mark.parametrize("record", sample_records(), ids=lambda r: type(r).__name__)
+def test_record_names_and_fields_are_pinned(record):
+    # the CLI output, the JSON records and the tests read fields by name and position
+    name = type(record).__name__
+    assert record._fields == FIELDS[name]
+    assert list(record._asdict()) == list(FIELDS[name])
+    if name in AS_DICT:
+        assert record._asdict() == AS_DICT[name]
+        assert repr(record) == f"{name}({', '.join(f'{k}={v!r}' for k, v in AS_DICT[name].items())})"
+
+
 def test_every_record_type_is_sampled():
     sampled = {type(r) for r in sample_records()}
     modules = (bands, bounds, lattice, secant, suite)

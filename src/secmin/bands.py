@@ -24,37 +24,30 @@ bytes.find/rfind; they are deterministic and embarrassingly parallel over n.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import accumulate, compress, islice
 from operator import sub
-from typing import NamedTuple
 
 from .arith import PrimePowerSieve, build_sieve, is_prime, largest_undivided, primes_covering, require_prime
 from .errors import ParameterError, VerificationError
 
 
-class BandGapRecord(NamedTuple):
+class BandGapRecord(namedtuple("BandGapRecord", "n gap witness_prime_power")):
     """The prime-power gap c(n) = n - witness_prime_power, the largest prime power <= n."""
 
-    n: int
-    gap: int
-    witness_prime_power: int
+    __slots__ = ()
 
 
-class GapSumReport(NamedTuple):
-    """Observed growth of the gap function up to n, scaled by n^exponent.
+class GapSumReport(namedtuple("GapSumReport", "n partial_sum exponent ratio max_ratio argmax")):
+    """Observed growth of the gap function up to n, scaled by the float n^exponent.
 
-    ratio = (sum of gaps for 2 <= j <= n) / n^exponent; max_ratio is the
-    largest pointwise gap(j)/j^exponent with argmax the first j attaining it.
-    Report-only data: the comparison constants are not pinned by theory.
+    ratio = (the integer partial_sum of gaps for 2 <= j <= n) / n^exponent;
+    max_ratio is the largest pointwise gap(j)/j^exponent with argmax the first
+    j attaining it.  Report-only data: the comparison constants are not pinned
+    by theory.
     """
 
-    n: int
-    partial_sum: int
-    exponent: float
-    ratio: float
-    max_ratio: float
-    argmax: int
+    __slots__ = ()
 
     def record(self) -> dict:
         """The fields as the CLI and the reference log print them, n named max."""

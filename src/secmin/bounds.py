@@ -11,21 +11,15 @@ inputs echoed in their reports.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+import sys
+from collections import namedtuple
 
 from .errors import ParameterError
 from .secant import degree_formula
 
 
-class _FieldFields(NamedTuple):
-    degree: int
-    real_places: int
-    complex_places: int
-    log_disc: float
-
-
-class NumberFieldData(_FieldFields):
-    """Degree, signature, and discriminant size of a number field."""
+class NumberFieldData(namedtuple("NumberFieldData", "degree real_places complex_places log_disc")):
+    """Degree, signature (r1 real and r2 complex places), and the float log|disc| of a number field."""
 
     __slots__ = ()
 
@@ -50,18 +44,9 @@ class NumberFieldData(_FieldFields):
 RATIONAL_FIELD = NumberFieldData(degree=1, real_places=1, complex_places=0, log_disc=0.0)
 
 
-class _SurfaceFields(NamedTuple):
-    genus: int
-    degree: int
-    l2: float
-    l_omega: float
-    omega2: float
-    field: NumberFieldData
-
-
-class SurfaceData(_SurfaceFields):
-    """Arithmetic-surface inputs: genus, fiber degree m of the line bundle, and
-    the intersection numbers l2 = L.L, l_omega = L.omega, omega2 = omega.omega."""
+class SurfaceData(namedtuple("SurfaceData", "genus degree l2 l_omega omega2 field")):
+    """Arithmetic-surface inputs over a NumberFieldData field: genus, fiber degree m of the
+    line bundle, and the float intersection numbers l2 = L.L, l_omega = L.omega, omega2 = omega.omega."""
 
     __slots__ = ()
 
@@ -236,12 +221,10 @@ INPUTS = {
 DEFAULTS = {"rank_shift": False, "Lw": 0.0, "w2": 0.0, "e_val": None}
 
 
-class BoundReport(NamedTuple):
-    """An evaluator result with the exact inputs needed to replay it."""
+class BoundReport(namedtuple("BoundReport", "kind value inputs")):
+    """An evaluator result with the exact inputs needed to replay it, as sorted (name, value) pairs."""
 
-    kind: str
-    value: float
-    inputs: tuple[tuple[str, object], ...]
+    __slots__ = ()
 
     def replay(self) -> float:
         return evaluate(self.kind, dict(self.inputs))
@@ -255,7 +238,9 @@ def surface_from(inputs: dict) -> SurfaceData:
 
 def _with_defaults(kind: str, inputs: dict) -> dict:
     """Every input kind reads, one left out or given as None taking its default;
-    ParameterError names the inputs given that kind does not read, or those it needs."""
+    ParameterError names the inputs given that kind does not read, those it needs,
+    or the first integer input larger than the largest float, since the formulas
+    multiply the integers by floats."""
     if kind not in INPUTS:
         raise ParameterError(f"unknown bound kind {kind!r}")
     reads = INPUTS[kind] + FIELD_INPUTS
@@ -266,6 +251,9 @@ def _with_defaults(kind: str, inputs: dict) -> dict:
     missing = [name for name, v in d.items() if v is None and name not in DEFAULTS]
     if missing:
         raise ParameterError(f"bound {kind} needs {', '.join(missing)}")
+    for name, v in d.items():
+        if isinstance(v, int) and v > sys.float_info.max:
+            raise ParameterError(f"{name} is larger than the largest float")
     return d
 
 

@@ -16,9 +16,8 @@ made on the exact squares.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from collections import namedtuple
 from itertools import combinations, product
-from typing import NamedTuple
 
 from .errors import ParameterError, ResourceLimitError, VerificationError
 
@@ -76,14 +75,10 @@ def _echelon(gram) -> tuple[tuple[int, ...], ...]:
     return tuple((0,) * i + tuple(row[i:]) for i, row in enumerate(rows))
 
 
-class _GramFields(NamedTuple):
-    gram: tuple[tuple[int, ...], ...]
-    echelon: tuple[tuple[int, ...], ...]
-
-
-class GramLattice(_GramFields):
-    """Full-rank integer lattice described by its positive-definite Gram matrix; echelon, its
-    _echelon, is computed once by the validation and read by every enumeration on it and by det."""
+class GramLattice(namedtuple("GramLattice", "gram echelon")):
+    """Full-rank integer lattice described by its positive-definite Gram matrix, a tuple of
+    integer rows; echelon, its _echelon, is computed once by the validation and read by every
+    enumeration on it and by det."""
 
     __slots__ = ()
 
@@ -115,48 +110,41 @@ class GramLattice(_GramFields):
         return sum(v[i] * g[i][j] * v[j] for i in range(self.rank) for j in range(self.rank))
 
 
-class RationalGram(NamedTuple):
-    """Exact rational Gram matrix, used for dual lattices."""
+class RationalGram(namedtuple("RationalGram", "entries")):
+    """Exact rational Gram matrix, rows of Fractions, used for dual lattices."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
 
-class MinimaProfile(NamedTuple):
-    """Successive minima with independent witnesses, norms in ascending order.
+class MinimaProfile(namedtuple("MinimaProfile", "lattice sq_minima log_minima witnesses")):
+    """Successive minima of a GramLattice with independent witnesses, norms in ascending order.
 
-    sq_minima are the exact squared norms; log_minima their half-logs.  The
-    witnesses realize the minima and are linearly independent, with ties
-    broken by lexicographic coordinate order.
+    sq_minima are the exact integer squared norms; log_minima their float
+    half-logs.  The witnesses, integer coordinate tuples, realize the minima
+    and are linearly independent, with ties broken by lexicographic
+    coordinate order.
     """
 
-    lattice: GramLattice
-    sq_minima: tuple[int, ...]
-    log_minima: tuple[float, ...]
-    witnesses: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
-class SublatticeHeightTable(NamedTuple):
-    """Minimal squared covolumes of primitive rank-p sublattices, p = 1..rank."""
+class SublatticeHeightTable(namedtuple("SublatticeHeightTable", "lattice covol2 log_heights")):
+    """Minimal squared covolumes (Fractions) of primitive rank-p sublattices, p = 1..rank, and
+    their float half-logs."""
 
-    lattice: GramLattice
-    covol2: tuple[Fraction, ...]
-    log_heights: tuple[float, ...]
+    __slots__ = ()
 
 
-class TransferenceRow(NamedTuple):
+class TransferenceRow(namedtuple("TransferenceRow", "p lower minima_sum upper printed_upper")):
     """One rank p of the two-sided minima/dual-height comparison.
 
     upper = constant + lower + log det is the provable bound; printed_upper
     omits the log det shift and is reported because it is the form the
     two-sided statement is usually quoted in (it is exact for det = 1 and
-    falsifiable otherwise, e.g. on diag(3, 3)).
+    falsifiable otherwise, e.g. on diag(3, 3)).  Every side is a float log.
     """
 
-    p: int
-    lower: float
-    minima_sum: float
-    upper: float
-    printed_upper: float
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -170,10 +158,10 @@ class TransferenceRow(NamedTuple):
         return self.minima_sum <= self.printed_upper + LOG_TOLERANCE
 
 
-class TransferenceReport(NamedTuple):
-    lattice: GramLattice
-    constant: float
-    rows: tuple[TransferenceRow, ...]
+class TransferenceReport(namedtuple("TransferenceReport", "lattice constant rows")):
+    """The transference constant of a GramLattice and one TransferenceRow per rank p."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -336,6 +324,7 @@ def _adjugate_lattice(lat: GramLattice) -> GramLattice:
 
 def dual_lattice(lat: GramLattice) -> RationalGram:
     """Gram matrix of the metric dual in the dual basis: the exact inverse adj(G) / det(G)."""
+    from fractions import Fraction  # loaded only by the commands that build one
     det = lat.det
     return RationalGram(tuple(tuple(Fraction(a, det) for a in row) for row in _adjugate_lattice(lat).gram))
 
@@ -359,7 +348,7 @@ def _wedge_rank(omega: list[int] | tuple[int, ...], n: int, p: int) -> int:
     )
 
 
-def _min_primitive_covol2(lat: GramLattice, p: int, minima: MinimaProfile, budget: int) -> Fraction:
+def _min_primitive_covol2(lat: GramLattice, p: int, minima: MinimaProfile, budget: int) -> int:
     """Minimal squared covolume over primitive rank-p sublattices, by the compound lattice.
 
     A basis M of a rank-p sublattice has Plucker coordinates omega (its p x p
@@ -384,7 +373,7 @@ def _min_primitive_covol2(lat: GramLattice, p: int, minima: MinimaProfile, budge
     u = sum(a * c * b for a, row in zip(omega, compound) for c, b in zip(row, omega))
     for q2, w in short_vectors(compound, u, budget):
         if _wedge_rank(w, n, p) == n - p:
-            return Fraction(q2)
+            return q2
     raise VerificationError(f"no decomposable vector of C_{p}({lat.gram}) within its witnesses' norm {u}")
 
 
@@ -398,15 +387,16 @@ def sublattice_heights(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> Sublat
     n = lat.rank
     if n > HEIGHT_MAX_RANK:
         raise ParameterError(f"sublattice heights support rank <= {HEIGHT_MAX_RANK}, got {n}")
+    from fractions import Fraction
     minima = successive_minima(lat, budget)
-    covol2: list[Fraction] = []
+    covol2 = []
     for p in range(1, n + 1):
         if p == 1:
             covol2.append(Fraction(minima.sq_minima[0]))
         elif p == n:
             covol2.append(Fraction(lat.det))
         else:
-            covol2.append(_min_primitive_covol2(lat, p, minima, budget))
+            covol2.append(Fraction(_min_primitive_covol2(lat, p, minima, budget)))
     return SublatticeHeightTable(
         lattice=lat,
         covol2=tuple(covol2),
@@ -416,6 +406,7 @@ def sublattice_heights(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> Sublat
 
 def dual_heights(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
     """Exact squared covolumes of minimal primitive sublattices of the dual."""
+    from fractions import Fraction
     adj = _adjugate_lattice(lat)
     table = sublattice_heights(adj, budget)
     # the adjugate is integral, so its squared covolumes are integers
@@ -472,13 +463,7 @@ def verify_transference(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> Trans
     return report
 
 
-class _FormFields(NamedTuple):
-    num_vars: int
-    degree: int
-    terms: tuple[tuple[tuple[int, ...], int], ...]
-
-
-class HomogeneousForm(_FormFields):
+class HomogeneousForm(namedtuple("HomogeneousForm", "num_vars degree terms")):
     """Integer homogeneous polynomial, stored as sorted (exponents, coeff) pairs."""
 
     __slots__ = ()
@@ -521,13 +506,7 @@ def evaluate_form(f: HomogeneousForm, v: tuple[int, ...] | list[int]) -> int:
     return total
 
 
-class AvoidanceResult(NamedTuple):
-    grid_vector: tuple[int, ...]
-    lattice_vector: tuple[int, ...]
-    value: int
-    log_norm: float
-    log_bound: float
-    within_bound: bool
+AvoidanceResult = namedtuple("AvoidanceResult", "grid_vector lattice_vector value log_norm log_bound within_bound")
 
 
 def avoid_hypersurface(f: HomogeneousForm, minima: MinimaProfile) -> AvoidanceResult:

@@ -20,20 +20,14 @@ of row n is the coefficient of x^(n-j) theta^[j], for j <= min(n, g).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb
-from typing import NamedTuple
 
 from .arith import binomial
 from .errors import ParameterError, VerificationError
 
 
-class _SecantFields(NamedTuple):
-    genus: int
-    bundle_degree: int
-    index: int
-
-
-class SecantParams(_SecantFields):
+class SecantParams(namedtuple("SecantParams", "genus bundle_degree index")):
     """Genus g, line-bundle degree m, and secant index d.
 
     The embedding uses the m + 2g - 2 sections of the twist by the canonical

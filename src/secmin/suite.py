@@ -12,8 +12,8 @@ import math
 import random
 import struct
 import time
+from collections import namedtuple
 from itertools import product
-from typing import NamedTuple
 
 from . import arith, bands, bounds, lattice, secant
 from .errors import ParameterError, VerificationError
@@ -39,11 +39,7 @@ RANGES = {
 }
 
 
-class CheckResult(NamedTuple):
-    name: str
-    ok: bool
-    detail: str
-    elapsed_ms: int
+CheckResult = namedtuple("CheckResult", "name ok detail elapsed_ms")
 
 
 class SuiteRun(list):
@@ -167,14 +163,15 @@ def check_curve_degree(g_hi: int, m_hi: int) -> str:
 
 
 def random_gram(rng: random.Random, rank: int, spread: int = 2) -> lattice.GramLattice:
-    """Random positive-definite integer Gram with entries bounded by rank*spread^2."""
+    """Random positive-definite integer Gram A^T A with entries bounded by rank*spread^2.
+
+    A^T A is positive definite exactly when A is nonsingular, so a singular A is redrawn.
+    """
     while True:
         a = [[rng.randint(-spread, spread) for _ in range(rank)] for _ in range(rank)]
-        g = [[sum(a[r][i] * a[r][j] for r in range(rank)) for j in range(rank)] for i in range(rank)]
-        try:
+        if lattice._int_det(a):
+            g = [[sum(a[r][i] * a[r][j] for r in range(rank)) for j in range(rank)] for i in range(rank)]
             return lattice.GramLattice.from_rows(g)
-        except ParameterError:
-            continue  # singular draw, redo
 
 
 NAMED_GRAMS = {

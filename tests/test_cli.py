@@ -14,6 +14,7 @@ from secmin.errors import VerificationError
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
+HUGE = str(10**400)  # 401 digits, past the largest float
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -266,6 +267,15 @@ class TestBoundsCommand:
             ("omega-mu --g 3 --n 2 --k 1 --w2 1e308", "intersection numbers must be finite, but l2 = n^2 * w2 overflows at n=2, w2=1e+308"),
             ("lambda --g 2 --m 12 --k 3 --L2 7.0 --e-val nan", "e_val must be finite, got nan"),
             ("mu --g 2 --m 12 --k 3 --L2 7.0 --e-val=-inf", "e_val must be finite, got -inf"),
+            # an integer no float can hold, which the formulas would multiply by a float
+            (f"constant --N {HUGE}", "N is larger than the largest float"),
+            (f"height --g 2 --m {HUGE} --L2 1.0", "m is larger than the largest float"),
+            (f"lambda --g {HUGE} --m 12 --k 3 --L2 7.0", "g is larger than the largest float"),
+            (f"mu --g 2 --m {HUGE} --k 3 --L2 7.0", "m is larger than the largest float"),
+            (f"top --g 2 --m {HUGE}1 --L2 7.0", "m is larger than the largest float"),
+            (f"omega-lambda --g 3 --n {HUGE} --k 1 --w2 1.0", "n is larger than the largest float"),
+            (f"omega-mu --g {HUGE} --n 2 --k 1 --w2 1.0", "g is larger than the largest float"),
+            (f"constant --N 1 --degK {HUGE} --r1 {HUGE} --r2 0 --log-disc 1.0", "degK is larger than the largest float"),
         ],
     )
     def test_bad_arguments_name_their_error(self, capsys, argv, error):
@@ -422,6 +432,7 @@ def test_import_leaves_json_unloaded():
 
 
 ARITH, BANDS, BOUNDS, LATTICE, SECANT = (f"secmin.{m}" for m in ("arith", "bands", "bounds", "lattice", "secant"))
+FRACTIONS = {"fractions", "decimal"}  # fractions imports decimal
 HEXAGONAL = str(DATA / "hexagonal.gram")
 
 
@@ -433,11 +444,14 @@ HEXAGONAL = str(DATA / "hexagonal.gram")
         pytest.param(["secant", "--g", "1", "--m", "5", "--d", "2"], {ARITH, SECANT}, id="secant"),
         pytest.param(["bounds", "lambda", "--g", "2", "--m", "12", "--k", "3", "--L2", "7.0"],
                      {ARITH, SECANT, BOUNDS}, id="bounds-lambda"),
-        pytest.param(["lattice", "minima", "--gram", HEXAGONAL], {LATTICE, "fractions"}, id="lattice-minima"),
+        pytest.param(["lattice", "minima", "--gram", HEXAGONAL], {LATTICE}, id="lattice-minima"),
+        pytest.param(["lattice", "avoid", "--gram", HEXAGONAL, "--form", str(DATA / "product_form.txt")], {LATTICE},
+                     id="lattice-avoid"),
+        pytest.param(["lattice", "dual", "--gram", HEXAGONAL], {LATTICE} | FRACTIONS, id="lattice-dual"),
         pytest.param(["lattice", "transference", "--gram", HEXAGONAL],
-                     {ARITH, SECANT, BOUNDS, LATTICE, "fractions"}, id="lattice-transference"),
+                     {ARITH, SECANT, BOUNDS, LATTICE} | FRACTIONS, id="lattice-transference"),
         pytest.param(["verify-all", "--quick"],
-                     {ARITH, BANDS, SECANT, BOUNDS, LATTICE, "secmin.suite", "fractions", "random", "struct"},
+                     {ARITH, BANDS, SECANT, BOUNDS, LATTICE, "secmin.suite", "random", "struct"} | FRACTIONS,
                      id="verify-all-quick"),
     ],
 )
@@ -449,7 +463,7 @@ def test_cli_loads_only_the_command_modules(argv, loads):
         "from secmin import cli\n"
         "if sys.argv[1:]:\n"
         "    cli.main(sys.argv[1:])\n"
-        "watched = {'fractions', 'random', 'struct', 'dataclasses', 'inspect', 'json'}\n"
+        "watched = {'fractions', 'decimal', 'typing', 'random', 'struct', 'dataclasses', 'inspect', 'json'}\n"
         "print(','.join(sorted(m for m in sys.modules if m.split('.')[0] == 'secmin' or m in watched)))\n"
         "print(len(sys.modules['secmin.arith']._table) if 'secmin.arith' in sys.modules else 0)\n"
     )

@@ -249,6 +249,18 @@ def random_pd_gram(rng, rank, spread=2):
             continue
 
 
+def test_suite_random_gram_matches_the_redraw_loop():
+    # suite.random_gram tests det(A) before building A^T A; random_pd_gram redraws
+    # on the ParameterError of a singular one.  Same RNG stream, same Grams.
+    cases = [(suite.SEED_GRAM, [2 + i % 2 for i in range(40)], 2)]  # the quick transference draws
+    cases += [(seed, [rank] * 30, spread) for seed in (1, 2) for rank in (1, 2, 3, 4) for spread in (1, 2, 3)]
+    for seed, ranks, spread in cases:
+        ours, oracle = random.Random(seed), random.Random(seed)
+        for rank in ranks:
+            assert suite.random_gram(ours, rank, spread) == random_pd_gram(oracle, rank, spread)
+        assert ours.getstate() == oracle.getstate()
+
+
 def gram_lattices(rank, spread):
     """Hypothesis strategy: Grams A^T A of nonsingular integer A with |a_ij| <= spread."""
     rows = st.lists(st.integers(-spread, spread), min_size=rank, max_size=rank)

@@ -1,4 +1,4 @@
-"""Result records: immutable NamedTuples, validated on every construction path."""
+"""Result records: immutable namedtuples, validated on every construction path."""
 
 import os
 import subprocess

@@ -14,7 +14,7 @@ from secmin.errors import VerificationError
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parents[1] / "src"
-HUGE = str(10**400)  # 401 digits, past the largest float
+HUGE = str(10**400)  # 401 digits, past the largest float; written HUGE in argument lists
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -268,18 +268,18 @@ class TestBoundsCommand:
             ("lambda --g 2 --m 12 --k 3 --L2 7.0 --e-val nan", "e_val must be finite, got nan"),
             ("mu --g 2 --m 12 --k 3 --L2 7.0 --e-val=-inf", "e_val must be finite, got -inf"),
             # an integer no float can hold, which the formulas would multiply by a float
-            (f"constant --N {HUGE}", "N is larger than the largest float"),
-            (f"height --g 2 --m {HUGE} --L2 1.0", "m is larger than the largest float"),
-            (f"lambda --g {HUGE} --m 12 --k 3 --L2 7.0", "g is larger than the largest float"),
-            (f"mu --g 2 --m {HUGE} --k 3 --L2 7.0", "m is larger than the largest float"),
-            (f"top --g 2 --m {HUGE}1 --L2 7.0", "m is larger than the largest float"),
-            (f"omega-lambda --g 3 --n {HUGE} --k 1 --w2 1.0", "n is larger than the largest float"),
-            (f"omega-mu --g {HUGE} --n 2 --k 1 --w2 1.0", "g is larger than the largest float"),
-            (f"constant --N 1 --degK {HUGE} --r1 {HUGE} --r2 0 --log-disc 1.0", "degK is larger than the largest float"),
+            ("constant --N HUGE", "N is larger than the largest float"),
+            ("height --g 2 --m HUGE --L2 1.0", "m is larger than the largest float"),
+            ("lambda --g HUGE --m 12 --k 3 --L2 7.0", "g is larger than the largest float"),
+            ("mu --g 2 --m HUGE --k 3 --L2 7.0", "m is larger than the largest float"),
+            ("top --g 2 --m HUGE1 --L2 7.0", "m is larger than the largest float"),
+            ("omega-lambda --g 3 --n HUGE --k 1 --w2 1.0", "n is larger than the largest float"),
+            ("omega-mu --g HUGE --n 2 --k 1 --w2 1.0", "g is larger than the largest float"),
+            ("constant --N 1 --degK HUGE --r1 HUGE --r2 0 --log-disc 1.0", "degK is larger than the largest float"),
         ],
     )
     def test_bad_arguments_name_their_error(self, capsys, argv, error):
-        code = cli.main(["bounds", *argv.split()])
+        code = cli.main(["bounds", *argv.replace("HUGE", HUGE).split()])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "status=fail\n", f"error={error}\n")
 

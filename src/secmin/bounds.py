@@ -260,23 +260,26 @@ def _with_defaults(kind: str, inputs: dict) -> dict:
 def evaluate(kind: str, inputs: dict) -> float:
     """Replay dispatcher: identical inputs give bit-identical values, always finite."""
     d = _with_defaults(kind, inputs)
-    if "m" not in d:  # the kinds that build no surface of their own
-        field = NumberFieldData(*(d[name] for name in FIELD_INPUTS))
-        if kind == "constant":
-            value = transference_constant(d["N"], field, rank_shift=d["rank_shift"])
+    try:
+        if "m" not in d:  # the kinds that build no surface of their own
+            field = NumberFieldData(*(d[name] for name in FIELD_INPUTS))
+            if kind == "constant":
+                value = transference_constant(d["N"], field, rank_shift=d["rank_shift"])
+            else:
+                floor = omega_lambda_floor if kind == "omega-lambda" else omega_mu_floor
+                value = floor(d["g"], d["n"], d["k"], d["w2"], field)
         else:
-            floor = omega_lambda_floor if kind == "omega-lambda" else omega_mu_floor
-            value = floor(d["g"], d["n"], d["k"], d["w2"], field)
-    else:
-        s = surface_from(d)
-        if kind == "height":
-            value = height_floor(s)
-        elif kind in ("lambda", "mu"):
-            value = (lambda_floor if kind == "lambda" else mu_floor)(s, d["k"], d["e_val"])
-        elif (s.degree % 2 == 1) != (kind == "top-odd"):
-            raise ParameterError(f"m={s.degree} has the wrong parity for this bound kind")
-        else:
-            value = top_lambda_floor(s)[1]
+            s = surface_from(d)
+            if kind == "height":
+                value = height_floor(s)
+            elif kind in ("lambda", "mu"):
+                value = (lambda_floor if kind == "lambda" else mu_floor)(s, d["k"], d["e_val"])
+            elif (s.degree % 2 == 1) != (kind == "top-odd"):
+                raise ParameterError(f"m={s.degree} has the wrong parity for this bound kind")
+            else:
+                value = top_lambda_floor(s)[1]
+    except OverflowError as exc:  # a product of in-range inputs, or lgamma, past the largest float
+        raise ParameterError(f"bound {kind} overflows a float on these inputs") from exc
     if not math.isfinite(value):
         raise ParameterError(f"bound {kind} evaluates to {value} on these inputs; it must be finite")
     return value

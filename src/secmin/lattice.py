@@ -2,11 +2,12 @@
 
 One Bareiss pass per Gram matrix validates it and gives its determinant and
 the pivots of exact successive minima by bounded enumeration, whose per-level
-windows are exact integer square roots; exact rational dual Gram matrices as
-the integer adjugate (fraction-free Gauss-Jordan) over the determinant; minimal
-covolumes of primitive sublattices as the shortest decomposable vectors of
-compound lattices; a two-sided transference check of minima against dual
-sublattice heights; and grid avoidance of hypersurfaces.
+windows are exact integer square roots.  One exterior-product kernel, v ^ omega,
+gives every other minor: Plucker coordinates, compounds C_p(G), and the integer
+adjugate, read off C_(n-1)(G), that is det times the exact dual Gram.  On top
+sit minimal primitive covolumes as the shortest decomposable compound-lattice
+vectors, a two-sided transference check of minima against dual sublattice
+heights, and grid avoidance of hypersurfaces.
 
 Everything is exact except the final logarithms: squared minima are integers,
 squared covolumes are rationals, and comparisons in tests can therefore be
@@ -15,6 +16,7 @@ made on the exact squares.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from itertools import combinations, product
@@ -27,28 +29,36 @@ DEFAULT_BUDGET = 2_000_000
 LOG_TOLERANCE = 1e-9
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Fraction-free Bareiss determinant of a square integer matrix."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+@functools.cache
+def _faces(n: int, p: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each (p + 1)-subset T of range(n), in combinations order, one (i, sign, k) per i in T:
+    sign is (-1)^(place of i in T) and k the position of T - {i} among the p-subsets."""
+    position = {cols: k for k, cols in enumerate(combinations(range(n), p))}
+    return tuple(
+        tuple((i, (-1) ** t, position[wider[:t] + wider[t + 1 :]]) for t, i in enumerate(wider))
+        for wider in combinations(range(n), p + 1)
+    )
+
+
+def _wedge(v, omega, n: int, p: int) -> list[int]:
+    """v ^ omega for v in Z^n; omega's coordinates follow combinations(range(n), p), the
+    result's follow combinations(range(n), p + 1)."""
+    return [sum(s * v[i] * omega[k] for i, s, k in face) for face in _faces(n, p)]
+
+
+def _minors(rows, n: int) -> list[int]:
+    """The p x p minors of the p rows of length n, one per column subset in combinations
+    order: the coordinates of rows[0] ^ ... ^ rows[p - 1].  No rows give [1]."""
+    omega = [1]
+    for p, v in enumerate(reversed(rows)):
+        omega = _wedge(v, omega, n, p)
+    return omega
+
+
+def _compound(gram, p: int) -> list[list[int]]:
+    """The p-th compound C_p(G): entry (S, T) is the minor of G on rows S and columns T."""
+    n = len(gram)
+    return [_minors([gram[i] for i in rows], n) for rows in combinations(range(n), p)]
 
 
 def _echelon(gram) -> tuple[tuple[int, ...], ...]:
@@ -290,21 +300,11 @@ def successive_minima(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> MinimaP
 
 
 def _adjugate(rows: list[list[int]]) -> list[list[int]]:
-    """Integer adjugate of a positive-definite G by fraction-free Gauss-Jordan on [G | I]: each
-    step clears the pivot's column from every other row, dividing exactly by the previous
-    pivot (a leading minor, so no row swap is needed), and the last leaves [det(G) . I | adj(G)]."""
+    """Integer adjugate of G: adj[i][j] is the (j, i) cofactor, read off C_(n-1)(G), whose
+    k-th row and column subsets omit n - 1 - k."""
     n = len(rows)
-    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        top = aug[k]
-        pivot = top[k]
-        for i, row in enumerate(aug):
-            if i != k:
-                a = row[k]
-                aug[i] = [(x * pivot - a * t) // prev for x, t in zip(row, top)]
-        prev = pivot
-    return [row[n:] for row in aug]
+    c = _compound(rows, n - 1)
+    return [[(-1) ** (i + j) * c[n - 1 - j][n - 1 - i] for j in range(n)] for i in range(n)]
 
 
 def _adjugate_lattice(lat: GramLattice) -> GramLattice:
@@ -336,16 +336,8 @@ def _wedge_rank(omega: list[int] | tuple[int, ...], n: int, p: int) -> int:
     when omega = v_1 ^ ... ^ v_p is decomposable (the kernel is then the span
     of the v_i); so omega is decomposable exactly when the rank is n - p.
     """
-    position = {cols: k for k, cols in enumerate(combinations(range(n), p))}
-    wider = list(combinations(range(n), p + 1))
     rows: list[list[int]] = []
-    return sum(
-        _extends_rank(rows, [
-            (-1) ** cols.index(i) * omega[position[tuple(c for c in cols if c != i)]] if i in cols else 0
-            for cols in wider
-        ])
-        for i in range(n)
-    )
+    return sum(_extends_rank(rows, _wedge([int(i == j) for j in range(n)], omega, n, p)) for i in range(n))
 
 
 def _min_primitive_covol2(lat: GramLattice, p: int, minima: MinimaProfile, budget: int) -> int:
@@ -360,16 +352,12 @@ def _min_primitive_covol2(lat: GramLattice, p: int, minima: MinimaProfile, budge
     with k > 1 comes after omega, so no gcd filter is needed.
     """
     n = lat.rank
-    subsets = list(combinations(range(n), p))
-    witnesses = minima.witnesses[:p]
-    omega = [_int_det([[w[c] for c in cols] for w in witnesses]) for cols in subsets]
+    omega = _minors(minima.witnesses[:p], n)
     g = math.gcd(*omega)
     if g == 0:
         raise VerificationError(f"the first {p} minima witnesses of {lat.gram} are dependent")
     omega = [x // g for x in omega]
-    compound = [
-        [_int_det([[lat.gram[i][j] for j in cols] for i in rows]) for cols in subsets] for rows in subsets
-    ]
+    compound = _compound(lat.gram, p)
     u = sum(a * c * b for a, row in zip(omega, compound) for c, b in zip(row, omega))
     for q2, w in short_vectors(compound, u, budget):
         if _wedge_rank(w, n, p) == n - p:

@@ -169,7 +169,7 @@ def random_gram(rng: random.Random, rank: int, spread: int = 2) -> lattice.GramL
     """
     while True:
         a = [[rng.randint(-spread, spread) for _ in range(rank)] for _ in range(rank)]
-        if lattice._int_det(a):
+        if lattice._minors(a, rank)[0]:
             g = [[sum(a[r][i] * a[r][j] for r in range(rank)) for j in range(rank)] for i in range(rank)]
             return lattice.GramLattice.from_rows(g)
 

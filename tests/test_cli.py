@@ -283,6 +283,23 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "status=fail\n", f"error={error}\n")
 
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            # floats hold each input, but not m^2 e_val, (2(g-1)n)^2 or lgamma(N/2 + 1)
+            ("lambda --g 2 --m 10^155 --k 3 --L2 7.0", "lambda"),
+            ("mu --g 2 --m 10^154 --k 3 --L2 7.0", "mu"),
+            ("omega-lambda --g 10^154 --n 2 --k 1 --w2 1.0", "omega-lambda"),
+            ("omega-mu --g 10^154 --n 2 --k 1 --w2 1.0", "omega-mu"),
+            ("constant --N 10^307", "constant"),
+        ],
+    )
+    def test_overflowing_formula_names_its_kind(self, capsys, argv, kind):
+        args = [str(10 ** int(a[3:])) if a.startswith("10^") else a for a in argv.split()]
+        code = cli.main(["bounds", *args])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "status=fail\n", f"error=bound {kind} overflows a float on these inputs\n")
+
     def test_lw_and_w2_default_to_zero(self, capsys):
         _, implicit = run(capsys, "bounds", "top", "--g", "2", "--m", "9", "--L2", "7.0")
         _, explicit = run(capsys, "bounds", "top", "--g", "2", "--m", "9", "--L2", "7.0", "--Lw", "0.0", "--w2", "0.0")

@@ -203,8 +203,8 @@ def subset_search_covol2(lat: GramLattice, p: int):
 
 def int_det(rows):
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
+    if n == 0:
+        return 1
     total = 0
     for j in range(n):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
@@ -217,7 +217,7 @@ def cofactor_adjugate(rows):
     n = len(rows)
     return [
         [
-            (-1) ** (i + j) * lattice._int_det([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])
+            (-1) ** (i + j) * int_det([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])
             for j in range(n)
         ]
         for i in range(n)
@@ -320,7 +320,7 @@ class TestGramLattice:
     def test_det_matches_bareiss_and_cofactors(self, data):
         rank = data.draw(st.integers(min_value=1, max_value=6))
         lat = data.draw(gram_lattices(rank, spread=3))
-        assert lat.det == lattice._int_det(lat.gram) == int_det(lat.gram)
+        assert lat.det == int_det(lat.gram)
 
 
     @settings(max_examples=150, deadline=None)
@@ -333,7 +333,7 @@ class TestGramLattice:
             rows = [list(r) for r in data.draw(gram_lattices(rank, spread=3)).gram]
         else:
             rows = data.draw(symmetric_matrices(rank, spread=data.draw(st.sampled_from([2, 9]))))
-        minors = [lattice._int_det([r[:k] for r in rows[:k]]) for k in range(1, rank + 1)]
+        minors = [int_det([r[:k] for r in rows[:k]]) for k in range(1, rank + 1)]
         bad = next(((k, d) for k, d in enumerate(minors, start=1) if d <= 0), None)
         if bad is not None:
             with pytest.raises(ParameterError, match=rf"^leading principal minor {bad[0]} is {bad[1]}, not positive$"):
@@ -344,7 +344,7 @@ class TestGramLattice:
         for k in range(rank):
             for j in range(rank):
                 # entry (k, j) is the minor on rows 0..k and columns 0..k-1, j; zero below the diagonal
-                want = lattice._int_det([r[:k] + [r[j]] for r in rows[: k + 1]]) if j >= k else 0
+                want = int_det([r[:k] + [r[j]] for r in rows[: k + 1]]) if j >= k else 0
                 assert lat.echelon[k][j] == want
 
     def test_one_bareiss_pass_per_gram(self, monkeypatch):
@@ -354,6 +354,34 @@ class TestGramLattice:
         lat = GramLattice.from_rows(SKEWED4.gram)
         successive_minima(lat)
         assert lat.det == 4 and len(calls) == 1
+
+
+class TestMinorsKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_minors_and_compound_match_cofactors(self, data):
+        # p x n and n x n integer matrices, p <= n <= 6; small entries and a
+        # possibly repeated row draw singular ones as well
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        p = data.draw(st.integers(min_value=0, max_value=n))
+        row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        rows = data.draw(st.lists(row, min_size=p, max_size=p))
+        if p >= 2 and data.draw(st.booleans()):
+            rows[-1] = rows[0]
+        subsets = list(combinations(range(n), p))
+        assert lattice._minors(rows, n) == [int_det([[r[c] for c in cols] for r in rows]) for cols in subsets]
+        square = data.draw(st.lists(row, min_size=n, max_size=n))
+        assert lattice._compound(square, p) == [
+            [int_det([[square[i][j] for j in cols] for i in rs]) for cols in subsets] for rs in subsets
+        ]
+
+    def test_examples(self):
+        assert lattice._minors([], 3) == [1]
+        assert lattice._minors([[1, 2, 3]], 3) == [1, 2, 3]
+        assert lattice._minors([[1, 0, 2], [0, 1, 3]], 3) == [1, 3, -2]
+        assert lattice._compound([[7]], 0) == [[1]]
+        assert lattice._adjugate([[7]]) == [[1]]
+        assert lattice._adjugate([[2, 1], [1, 2]]) == [[2, -1], [-1, 2]]
 
 
 class TestSuccessiveMinima:

@@ -298,7 +298,8 @@ class TestBoundsCommand:
         args = [str(10 ** int(a[3:])) if a.startswith("10^") else a for a in argv.split()]
         code = cli.main(["bounds", *args])
         captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == (2, "status=fail\n", f"error=bound {kind} overflows a float on these inputs\n")
+        error = f"error=bound {kind} overflows a float on these inputs\n"
+        assert (code, captured.out, captured.err) == (2, "status=fail\n", error)
 
     def test_lw_and_w2_default_to_zero(self, capsys):
         _, implicit = run(capsys, "bounds", "top", "--g", "2", "--m", "9", "--L2", "7.0")

@@ -33,6 +33,13 @@ COMMANDS = {
         for action in ["minima", "dual", "heights", "transference"]
         for gram in GRAMS
     },
+    # rank 3 and 4 reach the compound-lattice search, the p = n - 1 case included
+    **{
+        f"lattice-{action}-{gram}": ["lattice", action, "--gram", str(DATA / f"{gram}.gram")]
+        for action in ["heights", "transference"]
+        for gram in ["rank3", "rank4"]
+    },
+    "lattice-heights-rank4-json": ["--json", "lattice", "heights", "--gram", str(DATA / "rank4.gram")],
     **{
         f"lattice-avoid-{gram}": [
             "lattice", "avoid", "--gram", str(DATA / f"{gram}.gram"), "--form", str(DATA / "product_form.txt")

@@ -43,7 +43,13 @@ def _faces(n: int, p: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
 def _wedge(v, omega, n: int, p: int) -> list[int]:
     """v ^ omega for v in Z^n; omega's coordinates follow combinations(range(n), p), the
     result's follow combinations(range(n), p + 1)."""
-    return [sum(s * v[i] * omega[k] for i, s, k in face) for face in _faces(n, p)]
+    out = []
+    for face in _faces(n, p):
+        total = 0
+        for i, s, k in face:
+            total += s * v[i] * omega[k]
+        out.append(total)
+    return out
 
 
 def _minors(rows, n: int) -> list[int]:
@@ -230,12 +236,11 @@ def _short_vectors(lam, bound2: int, budget: int) -> list[tuple[int, tuple[int, 
             raise ResourceLimitError(f"enumeration budget {budget} exceeded at radius^2 = {bound2}")
         if level == 0:
             tail = tuple(coords[1:])
-            flip = next((x < 0 for x in tail if x), False)
+            neg = tuple(-t for t in tail)
             for x in range(lo, hi + 1):
                 y = d * x + c
-                v = (x,) + tail
-                if x < 0 or (x == 0 and flip):
-                    v = tuple(-t for t in v)
+                # neg > tail exactly when the first nonzero entry of tail is negative
+                v = (-x,) + neg if x < 0 or (x == 0 and neg > tail) else (x,) + tail
                 out.append((bound2 - (rem - w * y * y) // scale, v))
             return
         for x in range(lo, hi + 1):
@@ -253,7 +258,9 @@ def _extends_rank(rows: list[list[int]], v: tuple[int, ...]) -> bool:
     """Fraction-free echelon update; appends the reduced row when v is independent of rows."""
     work = list(v)
     for row in rows:
-        pivot = next(i for i, x in enumerate(row) if x)
+        pivot = 0
+        while not row[pivot]:
+            pivot += 1
         if work[pivot]:
             a, b = row[pivot], work[pivot]
             work = [a * w - b * r for w, r in zip(work, row)]
@@ -349,7 +356,8 @@ def _min_primitive_covol2(lat: GramLattice, p: int, minima: MinimaProfile, budge
     gcd(omega) = 1.  So the answer is the first decomposable vector in
     (norm, coords) order of the compound lattice, inside the squared norm U of
     the saturated span of the first p minima witnesses.  A decomposable k.omega
-    with k > 1 comes after omega, so no gcd filter is needed.
+    with k > 1 comes after omega, so no gcd filter is needed.  For p = n - 1
+    every nonzero vector is decomposable, so the first one is the answer.
     """
     n = lat.rank
     omega = _minors(minima.witnesses[:p], n)
@@ -360,46 +368,50 @@ def _min_primitive_covol2(lat: GramLattice, p: int, minima: MinimaProfile, budge
     compound = _compound(lat.gram, p)
     u = sum(a * c * b for a, row in zip(omega, compound) for c, b in zip(row, omega))
     for q2, w in short_vectors(compound, u, budget):
-        if _wedge_rank(w, n, p) == n - p:
+        if p == n - 1 or _wedge_rank(w, n, p) == n - p:
             return q2
     raise VerificationError(f"no decomposable vector of C_{p}({lat.gram}) within its witnesses' norm {u}")
 
 
-def sublattice_heights(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> SublatticeHeightTable:
-    """Minimal log-covolumes of primitive sublattices of every rank p.
-
-    p = 1 is the shortest vector, p = rank the full determinant; intermediate
-    ranks take the shortest decomposable vector of the p-th compound lattice.
-    Restricted to rank <= 4.
-    """
+def _min_covol2(lat: GramLattice, budget: int) -> list[int]:
+    """The integer core of the heights: minimal squared covolumes of primitive rank-p
+    sublattices, p = 1..rank <= 4.  p = 1 is the shortest vector, p = rank the determinant;
+    intermediate ranks take the shortest decomposable vector of the p-th compound lattice."""
     n = lat.rank
     if n > HEIGHT_MAX_RANK:
         raise ParameterError(f"sublattice heights support rank <= {HEIGHT_MAX_RANK}, got {n}")
-    from fractions import Fraction
     minima = successive_minima(lat, budget)
-    covol2 = []
-    for p in range(1, n + 1):
-        if p == 1:
-            covol2.append(Fraction(minima.sq_minima[0]))
-        elif p == n:
-            covol2.append(Fraction(lat.det))
-        else:
-            covol2.append(Fraction(_min_primitive_covol2(lat, p, minima, budget)))
-    return SublatticeHeightTable(
-        lattice=lat,
-        covol2=tuple(covol2),
-        log_heights=tuple(0.5 * math.log(c) for c in covol2),
-    )
+    return [
+        minima.sq_minima[0] if p == 1 else lat.det if p == n else _min_primitive_covol2(lat, p, minima, budget)
+        for p in range(1, n + 1)
+    ]
+
+
+def _dual_covol2(lat: GramLattice, budget: int) -> tuple[list[tuple[int, int]], tuple[float, ...]]:
+    """The dual's minimal squared covolumes as reduced (num, den) int pairs, the adjugate's
+    integer core over det^p, and their half-logs."""
+    det = lat.det
+    pairs = []
+    for p, c in enumerate(_min_covol2(_adjugate_lattice(lat), budget), start=1):
+        g = math.gcd(c, det**p)
+        pairs.append((c // g, det**p // g))
+    return pairs, tuple(0.5 * (math.log(a) - math.log(b)) for a, b in pairs)
+
+
+def sublattice_heights(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> SublatticeHeightTable:
+    """Minimal log-covolumes of primitive sublattices of every rank p: the integer core,
+    _min_covol2, as Fractions, and their half-logs."""
+    covol2 = _min_covol2(lat, budget)
+    from fractions import Fraction
+    return SublatticeHeightTable(lat, tuple(map(Fraction, covol2)), tuple(0.5 * math.log(c) for c in covol2))
 
 
 def dual_heights(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
-    """Exact squared covolumes of minimal primitive sublattices of the dual."""
+    """Exact squared covolumes of minimal primitive sublattices of the dual, built from the
+    reduced int pairs of _dual_covol2, and their half-logs."""
     from fractions import Fraction
-    adj = _adjugate_lattice(lat)
-    table = sublattice_heights(adj, budget)
-    # the adjugate is integral, so its squared covolumes are integers
-    sq = tuple(Fraction(c.numerator, lat.det**p) for p, c in enumerate(table.covol2, start=1))
-    return sq, tuple(0.5 * (math.log(q.numerator) - math.log(q.denominator)) for q in sq)
+    pairs, logs = _dual_covol2(lat, budget)
+    return tuple(Fraction(a, b) for a, b in pairs), logs
 
 
 def verify_transference(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> TransferenceReport:
@@ -416,7 +428,9 @@ def verify_transference(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> Trans
     one, primal sublattice covolumes are >= 1, and the unit-ball volume grows
     through dimension 5).  A violation raises, signalling an implementation
     bug.  The log-det-free printed form of the upper bound is reported per
-    row but not enforced; it fails on lattices as small as diag(3, 3).
+    row but not enforced; it fails on lattices as small as diag(3, 3).  The
+    dual heights are half-logs of the integer core's pairs, _dual_covol2, so
+    the check builds no Fraction.
     """
     # imported here, so that the lattice commands that skip this check do not load bounds
     from .bounds import RATIONAL_FIELD, transference_constant
@@ -424,7 +438,7 @@ def verify_transference(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> Trans
     if n > HEIGHT_MAX_RANK:
         raise ParameterError(f"transference check supports rank <= {HEIGHT_MAX_RANK}, got {n}")
     minima = successive_minima(lat, budget)
-    _, d_heights = dual_heights(lat, budget)
+    _, d_heights = _dual_covol2(lat, budget)
     constant = transference_constant(n - 1, RATIONAL_FIELD)
     log_det = math.log(lat.det)
     rows = []

@@ -551,6 +551,15 @@ class TestSublatticeHeights:
         assert rank in (2, 4)
         assert (rank == 2) == (w01 * w23 - w02 * w13 + w03 * w12 == 0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_nonzero_hyperplane_vector_is_decomposable(self, data):
+        # v -> v ^ omega has a kernel of dimension n - 1 for every nonzero omega in
+        # Lambda^(n-1) Z^n, so the compound search may take its first vector at p = n - 1
+        n = data.draw(st.integers(min_value=2, max_value=6))
+        omega = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n).filter(any))
+        assert lattice._wedge_rank(omega, n, n - 1) == 1
+
     def test_non_decomposable_compound_vector_is_skipped(self, monkeypatch):
         # e0^e1 + e2^e3 planted first in C_2 of each rank-4 Gram must not count
         # as a sublattice; every middle height here exceeds its planted norm 1
@@ -659,6 +668,41 @@ class TestTransference:
         assert report.constant == 1.3401767639386004
         prof = successive_minima(SKEWED4)
         assert prof.witnesses == ((2, 2, 3, 1), (3, 2, 4, 1), (9, 7, 12, 4), (1, 1, 2, 1))
+
+
+def fraction_dual_heights(lat: GramLattice):
+    """Test oracle, the former dual_heights: the adjugate's heights over det^p as Fractions,
+    with half-logs of their numerators and denominators."""
+    table = sublattice_heights(lattice._adjugate_lattice(lat))
+    sq = tuple(Fraction(c.numerator, lat.det**p) for p, c in enumerate(table.covol2, start=1))
+    return sq, tuple(0.5 * (math.log(q.numerator) - math.log(q.denominator)) for q in sq)
+
+
+class TestIntegerCore:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_the_fraction_route_exactly(self, data):
+        rank = data.draw(st.integers(min_value=2, max_value=4))
+        lat = data.draw(gram_lattices(rank, spread=data.draw(st.integers(min_value=1, max_value=3))))
+        try:
+            dual2, dual_logs = fraction_dual_heights(lat)
+        except ResourceLimitError:
+            assume(False)  # the unreduced enumeration's known budget exhaustion, not this route
+        minima = successive_minima(lat)
+        covol2 = (
+            Fraction(minima.sq_minima[0]),
+            *(subset_search_covol2(lat, p) for p in range(2, rank)),
+            Fraction(lat.det),
+        )
+        table = sublattice_heights(lat)
+        assert table.covol2 == covol2
+        assert table.log_heights == tuple(0.5 * math.log(c) for c in covol2)
+        assert dual_heights(lat) == (dual2, dual_logs)
+        report = verify_transference(lat)
+        for row in report.rows:
+            lower = 0.0 if row.p == rank else dual_logs[rank - row.p - 1]
+            assert row.lower == lower
+            assert row.upper == report.constant + lower + math.log(lat.det)
 
 
 class TestForms:

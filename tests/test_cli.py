@@ -1,13 +1,19 @@
-"""CLI contract tests: payloads, determinism, exit codes."""
+"""CLI contract tests: payloads, determinism, exit codes, argument parsing."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from secmin import arith, bands, cli
 from secmin.errors import VerificationError
@@ -418,6 +424,242 @@ class TestContract:
         assert sum(timing.values()) - timing["elapsed_ms"] <= timing["elapsed_ms"]
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ("bands single --n 5 --max 9", "bands single does not read --max"),
+        ("bands single --n 5 --exponent 1.5 --max 9", "bands single does not read --max --exponent"),
+        ("bands verify --n 5", "bands verify does not read --n"),
+        ("bands verify --max 100 --exponent 1.0", "bands verify does not read --exponent"),
+        ("bands asymptotic --max 1000 --n 5", "bands asymptotic does not read --n"),
+        ("bands single", "bands single needs --n"),
+        ("lattice minima --gram HEX --form FORM", "lattice minima does not read --form"),
+        ("lattice dual --gram HEX --form FORM", "lattice dual does not read --form"),
+        ("lattice heights --gram HEX --form FORM", "lattice heights does not read --form"),
+        ("lattice transference --gram HEX --form FORM", "lattice transference does not read --form"),
+        ("lattice avoid --gram HEX", "lattice avoid needs --form"),
+    ],
+)
+def test_bands_and_lattice_name_unread_and_missing_flags(capsys, argv, error):
+    argv = argv.replace("HEX", str(DATA / "hexagonal.gram")).replace("FORM", str(DATA / "product_form.txt"))
+    code = cli.main(argv.split())
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "status=fail\n", f"error={error}\n")
+
+
+def argparse_oracle() -> argparse.ArgumentParser:
+    """The argparse parser that cli.COMMANDS replaced, kept as the parsing oracle."""
+    parser = argparse.ArgumentParser(prog="secmin")
+    parser.add_argument("--json", action="store_true", help="emit a single JSON object")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("bands", help="band function, prime-power gap, growth reports")
+    p.add_argument("mode", choices=["single", "verify", "asymptotic"])
+    p.add_argument("--n", type=int, help="row for mode single")
+    p.add_argument("--max", type=int, help="range bound for verify/asymptotic")
+    p.add_argument("--exponent", type=float, action="append", help="scaling exponent (repeatable)")
+    p.set_defaults(fn=cli.cmd_bands, modules=("arith", "bands"))
+
+    p = sub.add_parser("secant", help="secant-variety degree, closed form and series oracle")
+    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--mode", choices=["closed", "oracle", "both"], default="both")
+    p.set_defaults(fn=cli.cmd_secant, modules=("secant",))
+
+    p = sub.add_parser("bounds", help="explicit bound evaluators")
+    p.add_argument("which", choices=["constant", "height", "lambda", "mu", "top", "omega-lambda", "omega-mu"])
+    p.add_argument("--N", type=int, help="dimension parameter for the transference constant")
+    p.add_argument("--rank-shift", action="store_true", default=None, dest="rank_shift")
+    p.add_argument("--g", type=int)
+    p.add_argument("--m", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--n", type=int, help="power of the dualizing sheaf")
+    p.add_argument("--L2", type=float)
+    p.add_argument("--Lw", type=float, help="default 0.0")
+    p.add_argument("--w2", type=float, help="default 0.0")
+    p.add_argument("--e-val", type=float, default=None, dest="e_val")
+    p.add_argument("--field", choices=["Q"], help="the rationals, the default; excludes the four flags below")
+    p.add_argument("--degK", type=int, help="field degree over the rationals")
+    p.add_argument("--r1", type=int, help="number of real places")
+    p.add_argument("--r2", type=int, help="number of complex places")
+    p.add_argument("--log-disc", type=float, help="log |discriminant|")
+    p.set_defaults(fn=cli.cmd_bounds, modules=("bounds",))
+
+    p = sub.add_parser("lattice", help="Gram-lattice computations")
+    p.add_argument("action", choices=["minima", "dual", "heights", "transference", "avoid"])
+    p.add_argument("--gram", required=True, help="Gram matrix file")
+    p.add_argument("--form", help="form file for action avoid")
+    p.set_defaults(fn=cli.cmd_lattice, modules=("lattice",))
+
+    p = sub.add_parser("verify-all", help="run the pinned verification suite")
+    p.add_argument("--quick", action="store_true", help="reduced desk-scale ranges")
+    p.set_defaults(fn=cli.cmd_verify_all, modules=("suite",))
+
+    return parser
+
+
+ORACLE = argparse_oracle()
+
+
+def parsed(parse, argv) -> tuple:
+    """("ok", the namespace less fn and modules) or ("exit", code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns = parse(list(argv))
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()
+    # repr, so that nan compares equal to nan
+    return "ok", repr(sorted((k, v) for k, v in vars(ns).items() if k not in ("fn", "modules")))
+
+
+def assert_usage_error(result) -> None:
+    kind, code, out, err = result
+    assert (kind, code, out) == ("exit", 2, "")
+    assert err.startswith("secmin: error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+SPEC = {command: entry[3] for command, entry in cli.COMMANDS.items()}
+FLAGS = sorted({name for spec in SPEC.values() for name in spec if name[0] == "-"})
+# values that no flag converts, that argparse reads as flags, or that it reads as values
+JUNK = ["nan", "inf", "-inf", "-1e5", "1e5", "-5", "-1.0", "-.5", "-5.", "1_000", " 7", "0x10", "", "-", "--",
+        "x", "-x", "--x", "a b", "-a b", "Q", "single", "both", "x=y"]
+
+
+def value_for(kind, noisy=True) -> st.SearchStrategy:
+    if isinstance(kind, tuple):
+        typed = st.sampled_from(kind)
+    elif kind is int:
+        typed = st.integers(-10**6, 10**6).map(str)
+    elif kind in (float, list):
+        typed = st.floats().map(repr)  # nan, inf, -inf, negative and exponent forms among them
+    else:
+        typed = st.sampled_from(["g.gram", "-", "a b", "-a b"])
+    return st.one_of(typed, st.sampled_from(JUNK)) if noisy else typed
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """An argv list: a command, its flags in both forms, its positional and --json before it.
+
+    A noisy list may also hold junk values and tokens, flags of other commands, a
+    flag without its value, no positional or two, --json after the command, and
+    a token left out.
+    """
+    noisy = draw(st.booleans())
+    command = draw(st.sampled_from([*SPEC, "nonsense", None] if noisy else list(SPEC)))
+    spec = SPEC.get(command, {})
+    own = [name for name in spec if name[0] == "-"]
+    groups = [[name, draw(value_for(spec[name][0], noisy))] for name in own if spec[name][2]]
+    for _ in range(draw(st.integers(0, 5))):
+        name = draw(st.sampled_from(own or FLAGS) | st.sampled_from(FLAGS) if noisy else st.sampled_from(own))
+        kind = spec.get(name, (str,))[0]
+        value = draw(value_for(kind, noisy))
+        if kind is bool and not noisy:
+            groups.append([name])
+        else:
+            groups.append(draw(st.sampled_from([[name, value], [f"{name}={value}"]] + [[name]] * noisy)))
+    choices = next((s[0] for n, s in spec.items() if n[0] != "-"), ())
+    for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2])) if noisy else len(choices) > 0):
+        pool = st.sampled_from(choices) if choices else st.nothing()
+        groups.append([draw(pool | st.sampled_from(JUNK) if noisy else pool)])
+    groups = draw(st.permutations(groups))
+    argv = draw(st.sampled_from([[], ["--json"], ["--json", "--json"]])) + ([command] if command else [])
+    argv += [token for group in groups for token in group]
+    if noisy:
+        argv += draw(st.sampled_from([[], ["--json"], ["junk"]]))
+        if argv and draw(st.booleans()):  # a missing token
+            del argv[draw(st.integers(0, len(argv) - 1))]
+    return argv
+
+
+def dropped_form(argv) -> bool:
+    """argv holds "--" or, after its command, a flag abbreviated to a unique prefix."""
+    command = next((t for t in argv if t != "--json"), None)
+    names = [n for n in SPEC.get(command, {}) if n[0] == "-"] + ["--help"]
+    after = argv[argv.index(command) + 1:] if command in SPEC else []
+    return "--" in argv or any(
+        t.startswith("--") and " " not in t and (name := t.split("=", 1)[0]) not in names
+        and any(n.startswith(name) for n in names)
+        for t in after
+    )
+
+
+class TestParsing:
+    @settings(max_examples=400, deadline=None)
+    @given(argvs())
+    @example(["--json", "bands", "single", "--n", "5"])
+    @example(["bands", "single", "--n", "5", "--json"])  # --json only before the command
+    @example(["bounds", "top", "--g", "2", "--m", "9", "--L2", "7.0", "--w2", "-inf"])
+    @example(["bounds", "top", "--g", "2", "--m", "9", "--L2", "7.0", "--w2=-inf"])
+    @example(["bands", "asymptotic", "--exponent", "-.5", "--exponent", "-1", "--exponent=-1e5"])
+    @example(["bands", "asymptotic", "--exponent", "-1e5"])
+    @example(["verify-all", "--quick=1"])
+    @example(["bounds", "constant", "--N", "1", "--rank-shift=x"])
+    @example(["bounds", "--N", "1", "--rank-shift", "constant", "--N", "2"])  # positional anywhere, last value wins
+    @example(["bands", "single", "verify", "--n", "5"])  # exactly one positional
+    @example(["lattice", "--gram=", "minima"])
+    @example(["secant", "--g", "1", "--m", "5"])
+    def test_parses_as_argparse_did(self, argv):
+        new = parsed(cli.parse_args, argv)
+        if new[0] == "exit":
+            assert_usage_error(new)
+        if dropped_form(argv):
+            assert new[0] == "exit"
+            return
+        old = parsed(ORACLE.parse_args, argv)
+        assert new[0] == old[0]
+        assert new[1] == old[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bands", "verify", "--ma", "9"],
+            ["bands", "verify", "--ma=9"],
+            ["--js", "bands", "verify"],
+            ["lattice", "minima", "--g", "x"],
+            ["verify-all", "--q"],
+            ["bounds", "constant", "--N", "1", "--rank"],
+        ],
+    )
+    def test_abbreviated_flags_exit_2(self, argv):
+        # argparse took a unique prefix for the full spelling; only full spellings are read now
+        assert parsed(ORACLE.parse_args, argv)[0] == "ok"
+        new = parsed(cli.parse_args, argv)
+        assert_usage_error(new)
+        assert new[3].startswith("secmin: error: unrecognized arguments: --")
+
+    @pytest.mark.parametrize("argv", [["bands", "--n", "5", "--", "single"], ["lattice", "--gram", "g", "--", "minima"]])
+    def test_double_dash_separator_exits_2(self, argv):
+        # argparse read the tokens after "--" as positionals
+        assert parsed(ORACLE.parse_args, argv)[0] == "ok"
+        assert_usage_error(parsed(cli.parse_args, argv))
+
+    @pytest.mark.parametrize("argv", [[], ["--json"], ["bands", "single", "--n"], ["bounds"], ["verify-all", "x"]])
+    def test_usage_error_prints_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert re.fullmatch(r"secmin: error: [^\n]+\n", captured.err)
+
+    @pytest.mark.parametrize(
+        "argv", [["-h"], ["--help"], ["--json", "-h"], *([command, "-h"] for command in SPEC), ["bands", "single", "--help"]]
+    )
+    def test_help_names_every_argument_and_choice(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 0 and captured.err == ""
+        words = set(re.split(r"[\s{},:]+", captured.out))
+        # the top-level help shows what comes before the command, and every command
+        shown = [SPEC[argv[0]]] if argv[0] in SPEC else [cli.TOP, *SPEC.values()]
+        names = {name for spec in shown for name in spec}
+        choices = {c for spec in shown for kind, *_ in spec.values() if isinstance(kind, tuple) for c in kind}
+        assert names | choices | ({argv[0]} & set(SPEC)) <= words
+
+
 @pytest.mark.parametrize("module", ["secmin", "secmin.cli"])
 class TestModuleEntryPoints:
     """`python -m` runs the same command line as the installed script."""
@@ -451,6 +693,9 @@ def test_import_leaves_json_unloaded():
 
 ARITH, BANDS, BOUNDS, LATTICE, SECANT = (f"secmin.{m}" for m in ("arith", "bands", "bounds", "lattice", "secant"))
 FRACTIONS = {"fractions", "decimal"}  # fractions imports decimal
+# no command, and no -h, loads these: the table parser replaced argparse, which imports them
+WATCHED = {"fractions", "decimal", "typing", "random", "struct", "dataclasses", "inspect", "json",
+           "argparse", "gettext", "locale"}
 HEXAGONAL = str(DATA / "hexagonal.gram")
 
 
@@ -458,6 +703,8 @@ HEXAGONAL = str(DATA / "hexagonal.gram")
     "argv, loads",
     [
         pytest.param([], set(), id="import"),
+        pytest.param(["-h"], set(), id="help"),
+        pytest.param(["lattice", "-h"], set(), id="lattice-help"),
         pytest.param(["bands", "single", "--n", "1000000"], {ARITH, BANDS}, id="bands-single"),
         pytest.param(["secant", "--g", "1", "--m", "5", "--d", "2"], {ARITH, SECANT}, id="secant"),
         pytest.param(["bounds", "lambda", "--g", "2", "--m", "12", "--k", "3", "--L2", "7.0"],
@@ -476,13 +723,16 @@ HEXAGONAL = str(DATA / "hexagonal.gram")
 )
 def test_cli_loads_only_the_command_modules(argv, loads):
     # -S keeps site hooks from loading any of the watched modules first; only
-    # --json output imports json
+    # --json output imports json.  -h exits through SystemExit after its help.
     probe = (
         "import sys\n"
         "from secmin import cli\n"
         "if sys.argv[1:]:\n"
-        "    cli.main(sys.argv[1:])\n"
-        "watched = {'fractions', 'decimal', 'typing', 'random', 'struct', 'dataclasses', 'inspect', 'json'}\n"
+        "    try:\n"
+        "        cli.main(sys.argv[1:])\n"
+        "    except SystemExit:\n"
+        "        pass\n"
+        f"watched = {sorted(WATCHED)!r}\n"
         "print(','.join(sorted(m for m in sys.modules if m.split('.')[0] == 'secmin' or m in watched)))\n"
         "print(len(sys.modules['secmin.arith']._table) if 'secmin.arith' in sys.modules else 0)\n"
     )

@@ -693,7 +693,7 @@ def test_import_leaves_json_unloaded():
 
 ARITH, BANDS, BOUNDS, LATTICE, SECANT = (f"secmin.{m}" for m in ("arith", "bands", "bounds", "lattice", "secant"))
 FRACTIONS = {"fractions", "decimal"}  # fractions imports decimal
-# no command, and no -h, loads these: the table parser replaced argparse, which imports them
+# each loads only where a command needs it; argparse, gettext and locale load nowhere, -h included
 WATCHED = {"fractions", "decimal", "typing", "random", "struct", "dataclasses", "inspect", "json",
            "argparse", "gettext", "locale"}
 HEXAGONAL = str(DATA / "hexagonal.gram")

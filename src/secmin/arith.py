@@ -9,6 +9,11 @@ the old one reads a complete table; nothing is sieved at import, and no table
 above PRIME_TABLE_CAP is stored.  is_prime only reads the table: a query past
 its end goes to trial division.  A PrimePowerSieve holds bytes, immutable once
 built and safe to share across threads.
+
+require_prime, the one prime validator, records each p it accepts in
+_known_prime; kummer_valuation and carry_row call it only when p differs.  Only
+an accepted p is stored, in one assignment, and a prime is prime under any
+table, so a call raises exactly when p is not prime, in any order or thread.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ PRIME_TABLE_CAP = 1 << 20
 
 # The shared table: entry i is 1 iff i is prime.  Replaced whole, never edited.
 _table = bytearray()
+
+_known_prime = 2  # the last p that require_prime accepted: always a prime
 
 
 def binomial(n: int, m: int) -> int:
@@ -59,10 +66,12 @@ def is_prime(n: int) -> bool:
 
 
 def require_prime(p: int) -> None:
-    """ParameterError unless p is prime: p on the shared table is read from it, is_prime only off it."""
+    """ParameterError unless p is prime (read from the shared table, is_prime off it); then p is _known_prime."""
+    global _known_prime
     t = _table
     if not (0 <= p < len(t) and t[p] or is_prime(p)):
         raise ParameterError(f"p must be prime, got {p}")
+    _known_prime = p
 
 
 def kummer_valuation(n: int, m: int, p: int) -> int:
@@ -73,10 +82,10 @@ def kummer_valuation(n: int, m: int, p: int) -> int:
     p^2 > n it is one last-digit comparison.  O(log_p n).  The suite uses
     carry_row; this stays because the bench's pascal-rows workload and the tests
     ask for single entries (a row costs O(n)), and the tests hold carry_row to it.
+    require_prime runs only when p differs from the last prime it accepted.
     """
-    t = _table  # require_prime inline: pascal-rows asks for eight entries per prime and row
-    if not (0 <= p < len(t) and t[p] or is_prime(p)):
-        raise ParameterError(f"p must be prime, got {p}")
+    if p != _known_prime:
+        require_prime(p)
     if m < 0 or m > n:
         raise ParameterError(f"need 0 <= m <= n, got n={n}, m={m}")
     if p * p > n:
@@ -97,7 +106,8 @@ def carry_row(n: int, p: int) -> int:
     m: one period (n mod q + 1 zeros, then ones) tiled along the row.  Summing
     them carries no lane into the next, since an entry is at most log_p n.
     """
-    require_prime(p)
+    if p != _known_prime:
+        require_prime(p)
     if n < 0:
         raise ParameterError(f"need n >= 0, got n={n}")
     total = 0

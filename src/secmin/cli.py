@@ -2,11 +2,12 @@
 
 Line-oriented key=value output with a fixed key order, or JSON with --json.
 Exit codes: 0 for pass/report, 1 for a falsified check, 2 for usage or
-precondition errors and unreadable input files.  Payload lines are byte-stable
-across runs; the trailing elapsed_ms line is excluded from the stable section.
-A command returns its records and status, and may add a dict of timing fields
-that the text output appends to the elapsed_ms line (verify-all: sieve_ms and
-<check>_ms).
+precondition errors and unreadable input files.  An error prints error= on
+stderr and status=fail on stdout (with --json, one object naming the error's
+type and message).  Payload lines are byte-stable across runs; the trailing
+elapsed_ms line is excluded from the stable section.  A command returns its
+records and status, and may add a dict of timing fields that the text output
+appends to the elapsed_ms line (verify-all: sieve_ms and <check>_ms).
 
 parse_args reads argv against one table, COMMANDS, with argparse's grammar
 less two forms: flags are spelled in full (no prefix abbreviations), and there
@@ -138,6 +139,9 @@ def cmd_lattice(args) -> tuple[list[dict], str]:
     from . import lattice
     avoid = ("form",) if args.action == "avoid" else ()
     _check_reads(args, args.action, avoid, needs=avoid)
+    for flag in ("gram", *avoid):  # Path("") would read the current directory
+        if not getattr(args, flag):
+            raise ParameterError(f"--{flag} needs a file name")
     lat = lattice.read_gram(Path(args.gram).read_text())
     if args.action == "minima":
         prof = lattice.successive_minima(lat)
@@ -277,14 +281,14 @@ def main(argv: list[str] | None = None) -> int:
     import_ms = int(1000 * (time.perf_counter() - t0))
     try:
         records, status, *timing = args.fn(args)
-    except (ParameterError, ResourceLimitError, OSError, UnicodeDecodeError) as exc:
+    except (ParameterError, ResourceLimitError, OSError, UnicodeDecodeError, VerificationError) as exc:
         print(f"error={exc}", file=sys.stderr)
-        print("status=fail")
-        return 2
-    except VerificationError as exc:
-        print(f"error={exc}", file=sys.stderr)
-        print("status=fail")
-        return 1
+        if args.json:
+            import json
+            print(json.dumps({"command": args.command, "status": "fail", "error": {"type": type(exc).__name__, "message": str(exc)}}))
+        else:
+            print("status=fail")
+        return 1 if isinstance(exc, VerificationError) else 2
     elapsed = int(1000 * (time.perf_counter() - t0))
     if args.json:
         import json  # only --json output needs it: text runs skip the import

@@ -32,6 +32,16 @@ def parse_kv(line: str) -> dict:
     return dict(part.split("=", 1) for part in line.split())
 
 
+def assert_failed(captured, json_flag, command, error_type="ParameterError"):
+    """stdout of a command that failed: status=fail, or under --json one object naming the stderr error."""
+    if not json_flag:
+        assert captured.out == "status=fail\n"
+        return
+    message = captured.err.removeprefix("error=").removesuffix("\n")
+    assert captured.out.count("\n") == 1 and json.loads(captured.out) == {
+        "command": command, "status": "fail", "error": {"type": error_type, "message": message}}
+
+
 class TestBandsCommands:
     def test_single(self, capsys):
         code, out = run(capsys, "bands", "single", "--n", "10")
@@ -102,7 +112,7 @@ class TestBandsCommands:
         code = cli.main([*json_flag, "bands", "asymptotic", "--max", hi, "--exponent", exponent])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.out == "status=fail\n"
+        assert_failed(captured, json_flag, "bands")
         assert captured.err.startswith(f"error=exponent {float(exponent)!r} ")
 
 
@@ -178,7 +188,8 @@ class TestBoundsCommand:
     def test_field_q_excludes_explicit_field_flags(self, capsys, json_flag, field, given):
         code = cli.main([*json_flag, "bounds", "constant", "--N", "1", "--field", "Q", *field.split()])
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == "status=fail\n"
+        assert code == 2
+        assert_failed(captured, json_flag, "bounds")
         assert captured.err == f"error=--field Q excludes {given}\n"
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
@@ -198,13 +209,15 @@ class TestBoundsCommand:
     )
     def test_non_finite_input_exits_2(self, capsys, json_flag, value, argv):
         code = cli.main([*json_flag, "bounds", *argv.format(value).split()])
-        assert code == 2 and capsys.readouterr().out == "status=fail\n"
+        assert code == 2
+        assert_failed(capsys.readouterr(), json_flag, "bounds")
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
     def test_overflowing_value_exits_2(self, capsys, json_flag):
         code = cli.main([*json_flag, "bounds", "height", "--g", "2", "--m", "12", "--L2", "1e308", "--w2", "1e308"])
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == "status=fail\n"
+        assert code == 2
+        assert_failed(captured, json_flag, "bounds")
         assert captured.err.startswith("error=bound height evaluates to inf")
 
     def test_missing_flags_exit_2(self, capsys):
@@ -383,13 +396,35 @@ class TestContract:
             cli.main(["bands", "nonsense"])
         assert exc.value.code == 2
 
-    def test_verification_failure_exits_1(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_verification_failure_exits_1(self, capsys, monkeypatch, json_flag):
         def boom(*a, **k):
             raise VerificationError("forced failure")
 
         monkeypatch.setattr(bands, "verify_band_gap_identity", boom)
-        code, _ = run(capsys, "bands", "verify", "--max", "100")
-        assert code == 1
+        code = cli.main([*json_flag, "bands", "verify", "--max", "100"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == "error=forced failure\n"
+        assert_failed(captured, json_flag, "bands", "VerificationError")
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("missing", ["missing.gram", "."])
+    def test_file_errors_exit_2(self, capsys, json_flag, missing):
+        code = cli.main([*json_flag, "lattice", "minima", "--gram", str(DATA / missing)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert_failed(captured, json_flag, "lattice", "FileNotFoundError" if missing != "." else "IsADirectoryError")
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("argv, flag", [("minima --gram=", "--gram"), ("avoid --gram HEX --form=", "--form"),
+                                            ("avoid --gram= --form FORM", "--gram")])
+    def test_empty_file_flag_exits_2(self, capsys, json_flag, argv, flag):
+        # Path("") is the current directory; an empty value names its flag instead of reading "."
+        argv = argv.replace("HEX", str(DATA / "hexagonal.gram")).replace("FORM", str(DATA / "product_form.txt"))
+        code = cli.main([*json_flag, "lattice", *argv.split()])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, f"error={flag} needs a file name\n")
+        assert_failed(captured, json_flag, "lattice")
 
     def test_payload_is_byte_stable(self, capsys):
         outs = []

@@ -10,7 +10,7 @@ from itertools import compress
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from secmin import arith, suite
+from secmin import arith, bands, suite
 from secmin.arith import (
     PRIME_TABLE_CAP,
     binomial,
@@ -273,9 +273,9 @@ class TestDigitExpansion:
 
 
 class TestCarryRow:
-    # the per-entry oracle validates p on every call, so leave out the prime
-    # that needs trial division up to 10^6
-    @given(st.integers(min_value=0, max_value=2000), st.sampled_from(VALUATION_PRIMES[:-1]))
+    # the per-entry oracle validates p once per row, so the prime that needs
+    # trial division up to 10^6 costs one such division per example
+    @given(st.integers(min_value=0, max_value=2000), st.sampled_from(VALUATION_PRIMES))
     @example(0, 2)
     @example(1, 2)
     @example(2000, 2)
@@ -319,6 +319,122 @@ class TestCarryRow:
         for n in (-1, -10):
             with pytest.raises(ParameterError):
                 carry_row(n, 2)
+
+
+# p for the memo tests: primes, composites, negatives, 0 and 1, on and past a
+# 2000-entry table, either side of PRIME_TABLE_CAP and far above it
+MEMO_PS = st.one_of(
+    st.sampled_from([2, 3, 7, 9, 49, 97, 101, 1999, 2003, 2001, 2009, 1048573, 1048583, 1048575,
+                     PRIME_TABLE_CAP + 1, 1048583 * 3, 1048583 * 1009, -7, -2, -1, 0, 1]),
+    st.integers(min_value=-40, max_value=2100),
+)
+MEMO_CALLS = st.tuples(
+    st.sampled_from(["kummer_valuation", "carry_row", "prime_band"]),  # MEMO_KERNELS
+    MEMO_PS,
+    st.sampled_from([0, 2, 64, 2000]),  # the shared table installed before the call
+    st.integers(min_value=-2, max_value=300),  # n
+    st.integers(min_value=-2, max_value=300),  # m
+)
+
+# kernel: (whether n, m and a prime p are in its range, the call, its oracle)
+MEMO_KERNELS = {
+    "kummer_valuation": (lambda n, m, p: 0 <= m <= n, kummer_valuation, legendre_valuation),
+    "carry_row": (
+        lambda n, m, p: n >= 0,
+        lambda n, m, p: lanes(carry_row(n, p), n),
+        lambda n, m, p: [legendre_valuation(n, j, p) for j in range(n + 1)],
+    ),
+    "prime_band": (
+        lambda n, m, p: 2 <= n and p <= n,
+        lambda n, m, p: bands.prime_band(n, p),
+        lambda n, m, p: max(b for b in range(n // 2 + 1) if legendre_valuation(n, b, p) == 0),
+    ),
+}
+
+
+class TestKnownPrime:
+    """The per-entry kernels skip require_prime while p equals arith._known_prime."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(MEMO_CALLS, min_size=1, max_size=12), st.sampled_from([2, 5, 1048583]))
+    @example([("kummer_valuation", 9, 64, 20, 3), ("kummer_valuation", 9, 64, 20, 3)], 2)
+    @example([("carry_row", 7, 0, 20, 0), ("kummer_valuation", 7, 64, 20, 30)], 2)
+    @example([("prime_band", 4, 2000, 1, 0), ("carry_row", 4, 0, 20, 0)], 2)
+    def test_call_sequences_raise_as_is_prime(self, calls, start):
+        # whatever came before, a call raises exactly when is_prime rejects p or
+        # its other argument is out of range, and the memo only holds primes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arith, "_known_prime", start)
+            for kernel, p, table_limit, n, m in calls:
+                mp.setattr(arith, "_table", prime_table(table_limit) if table_limit else bytearray())
+                in_range, call, oracle = MEMO_KERNELS[kernel]
+                if is_prime(p) and in_range(n, m, p):
+                    assert call(n, m, p) == oracle(n, m, p)
+                else:
+                    with pytest.raises(ParameterError):
+                        call(n, m, p)
+                assert is_prime(arith._known_prime)
+
+    def test_threads_interleave_primes_and_composites(self):
+        # runs of equal p, composites right after their neighbouring primes, and a
+        # thread that swaps the shared table: every composite call must raise
+        # (0 and 1 stay out: a kernel let through with either would never return)
+        stream = [7, 7, 7, 9, 9, 7, 11, 121, 121, 11, 2, 4, 4, 2, 1048583, 1048583 * 3, 1048583, -7, -7, 13, 15]
+        wrong, finished = [], []
+
+        def worker(k):
+            for i in range(3000):
+                p = stream[(i * (k + 1) + k) % len(stream)]
+                try:
+                    kummer_valuation(40, 5, p) if i % 3 else carry_row(40, p)
+                except ParameterError:
+                    raised = True
+                else:
+                    raised = False
+                if raised == is_prime(p):
+                    wrong.append((k, i, p))
+            finished.append(k)
+
+        def swapper():
+            for i in range(3000):
+                arith._table = (bytearray(), prime_table(64), prime_table(2000))[i % 3]
+
+        old_interval, old_table = sys.getswitchinterval(), arith._table
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,), daemon=True) for k in range(5)]
+            threads.append(threading.Thread(target=swapper, daemon=True))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old_interval)
+            arith._table = old_table
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == [] and sorted(finished) == list(range(5))
+        assert is_prime(arith._known_prime)
+
+    def test_validates_once_per_run_of_equal_p(self, monkeypatch):
+        # shaped as the pascal-rows workload: row n = 1000, every prime, eight
+        # positions, after the whole row; p changes pi(1000) = 168 times, and
+        # only those calls may reach the validator
+        n = 1000
+        primes = [p for p in range(n + 1) if prime_by_trial_division(p)]
+        positions = [(n // 2) * i // 7 for i in range(8)]
+        validate, calls = arith.require_prime, []
+
+        def counting(p):
+            calls.append(p)
+            validate(p)
+
+        monkeypatch.setattr(arith, "require_prime", counting)
+        monkeypatch.setattr(arith, "_known_prime", 1009)  # a prime off the row: p = 2 is a change
+        for p in primes:
+            row = lanes(carry_row(n, p), n)
+            vals = [kummer_valuation(n, m, p) for m in positions]
+            assert vals == [row[m] for m in positions] == [legendre_valuation(n, m, p) for m in positions]
+        assert len(primes) == 168 and calls == primes
 
 
 class TestIsPrime:

@@ -396,24 +396,30 @@ class TestContract:
             cli.main(["bands", "nonsense"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
-    def test_verification_failure_exits_1(self, capsys, monkeypatch, json_flag):
+    def test_verification_failure_exits_1(self, capsys, monkeypatch):
         def boom(*a, **k):
             raise VerificationError("forced failure")
 
         monkeypatch.setattr(bands, "verify_band_gap_identity", boom)
-        code = cli.main([*json_flag, "bands", "verify", "--max", "100"])
+        code, _ = run(capsys, "bands", "verify", "--max", "100")
+        assert code == 1
+
+    def test_verification_failure_under_json_names_its_type(self, capsys, monkeypatch):
+        def boom(*a, **k):
+            raise VerificationError("forced failure")
+
+        monkeypatch.setattr(bands, "verify_band_gap_identity", boom)
+        code = cli.main(["--json", "bands", "verify", "--max", "100"])
         captured = capsys.readouterr()
         assert code == 1 and captured.err == "error=forced failure\n"
-        assert_failed(captured, json_flag, "bands", "VerificationError")
+        assert_failed(captured, ["--json"], "bands", "VerificationError")
 
-    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
-    @pytest.mark.parametrize("missing", ["missing.gram", "."])
-    def test_file_errors_exit_2(self, capsys, json_flag, missing):
-        code = cli.main([*json_flag, "lattice", "minima", "--gram", str(DATA / missing)])
-        captured = capsys.readouterr()
+    @pytest.mark.parametrize("name, error_type", [("missing", "FileNotFoundError"), ("directory", "IsADirectoryError")])
+    def test_file_error_under_json_names_its_type(self, capsys, tmp_path, name, error_type):
+        (tmp_path / "directory").mkdir()
+        code = cli.main(["--json", "lattice", "minima", "--gram", str(tmp_path / name)])
         assert code == 2
-        assert_failed(captured, json_flag, "lattice", "FileNotFoundError" if missing != "." else "IsADirectoryError")
+        assert_failed(capsys.readouterr(), ["--json"], "lattice", error_type)
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
     @pytest.mark.parametrize("argv, flag", [("minima --gram=", "--gram"), ("avoid --gram HEX --form=", "--form"),
@@ -754,6 +760,9 @@ HEXAGONAL = str(DATA / "hexagonal.gram")
         pytest.param(["verify-all", "--quick"],
                      {ARITH, BANDS, SECANT, BOUNDS, LATTICE, "secmin.suite", "random", "struct"},
                      id="verify-all-quick"),
+        # an error prints status=fail without json, and its object with it
+        pytest.param(["lattice", "minima", "--gram="], {LATTICE}, id="lattice-error"),
+        pytest.param(["--json", "lattice", "minima", "--gram="], {LATTICE, "json"}, id="lattice-error-json"),
     ],
 )
 def test_cli_loads_only_the_command_modules(argv, loads):

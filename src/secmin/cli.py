@@ -6,8 +6,8 @@ precondition errors and unreadable input files.  An error prints error= on
 stderr and status=fail on stdout (with --json, one object naming the error's
 type and message).  Payload lines are byte-stable across runs; the trailing
 elapsed_ms line is excluded from the stable section.  A command returns its
-records and status, and may add a dict of timing fields that the text output
-appends to the elapsed_ms line (verify-all: sieve_ms and <check>_ms).
+records and status, and may add timing fields that end the elapsed_ms line
+(verify-all: sieve_ms and <check>_ms); --json gives the line as "timing", last.
 
 parse_args reads argv against one table, COMMANDS, with argparse's grammar
 less two forms: flags are spelled in full (no prefix abbreviations), and there
@@ -280,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
         __import__(f"{__package__}.{name}")
     import_ms = int(1000 * (time.perf_counter() - t0))
     try:
-        records, status, *timing = args.fn(args)
+        records, status, *extra = args.fn(args)
     except (ParameterError, ResourceLimitError, OSError, UnicodeDecodeError, VerificationError) as exc:
         print(f"error={exc}", file=sys.stderr)
         if args.json:
@@ -289,16 +289,16 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print("status=fail")
         return 1 if isinstance(exc, VerificationError) else 2
-    elapsed = int(1000 * (time.perf_counter() - t0))
+    timing = {"elapsed_ms": int(1000 * (time.perf_counter() - t0)), "import_ms": import_ms, **(extra[0] if extra else {})}
     if args.json:
         import json  # only --json output needs it: text runs skip the import
         # default=str writes a Fraction as "n/d"; tuples already come out as arrays
-        print(json.dumps({"command": args.command, "status": status, "records": records}, default=str))
+        print(json.dumps({"command": args.command, "status": status, "records": records, "timing": timing}, default=str))
     else:
         for record in records:
             print(_emit(record))
         print(f"status={status}")
-        print(_emit({"elapsed_ms": elapsed, "import_ms": import_ms, **(timing[0] if timing else {})}))
+        print(_emit(timing))
     return 1 if status == "fail" else 0
 
 

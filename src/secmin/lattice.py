@@ -6,8 +6,8 @@ windows are exact integer square roots.  One exterior-product kernel, v ^ omega,
 gives every other minor: Plucker coordinates, compounds C_p(G), and the integer
 adjugate, read off C_(n-1)(G), that is det times the exact dual Gram.  On top
 sit minimal primitive covolumes as the shortest decomposable compound-lattice
-vectors, a two-sided transference check of minima against dual sublattice
-heights, and grid avoidance of hypersurfaces.
+vectors and the dual's by duality, a two-sided transference check of minima
+against dual sublattice heights, and grid avoidance of hypersurfaces.
 
 Everything is exact except the final logarithms: squared minima are integers,
 squared covolumes are rationals, and comparisons in tests can therefore be
@@ -24,7 +24,6 @@ from itertools import combinations, product
 from .errors import ParameterError, ResourceLimitError, VerificationError
 
 MAX_RANK = 6
-HEIGHT_MAX_RANK = 4
 DEFAULT_BUDGET = 2_000_000
 LOG_TOLERANCE = 1e-9
 
@@ -111,7 +110,7 @@ class GramLattice(namedtuple("GramLattice", "gram echelon")):
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> "GramLattice":
-        return cls(tuple(tuple(int(x) for x in r) for r in rows))
+        return cls(tuple(map(tuple, rows)))
 
     @property
     def rank(self) -> int:
@@ -373,35 +372,35 @@ def _min_primitive_covol2(lat: GramLattice, p: int, minima: MinimaProfile, budge
     raise VerificationError(f"no decomposable vector of C_{p}({lat.gram}) within its witnesses' norm {u}")
 
 
-def _min_covol2(lat: GramLattice, budget: int) -> list[int]:
-    """The integer core of the heights: minimal squared covolumes of primitive rank-p
-    sublattices, p = 1..rank <= 4.  p = 1 is the shortest vector, p = rank the determinant;
+def _min_covol2(minima: MinimaProfile, budget: int) -> list[int]:
+    """The integer core of the heights: minimal squared covolumes of primitive rank-p sublattices
+    of minima.lattice, p = 1..rank.  p = 1 is the shortest vector, p = rank the determinant;
     intermediate ranks take the shortest decomposable vector of the p-th compound lattice."""
+    lat = minima.lattice
     n = lat.rank
-    if n > HEIGHT_MAX_RANK:
-        raise ParameterError(f"sublattice heights support rank <= {HEIGHT_MAX_RANK}, got {n}")
-    minima = successive_minima(lat, budget)
     return [
         minima.sq_minima[0] if p == 1 else lat.det if p == n else _min_primitive_covol2(lat, p, minima, budget)
         for p in range(1, n + 1)
     ]
 
 
-def _dual_covol2(lat: GramLattice, budget: int) -> tuple[list[tuple[int, int]], tuple[float, ...]]:
-    """The dual's minimal squared covolumes as reduced (num, den) int pairs, the adjugate's
-    integer core over det^p, and their half-logs."""
-    det = lat.det
+def _dual_covol2(minima: MinimaProfile, budget: int) -> tuple[list[tuple[int, int]], tuple[float, ...]]:
+    """The dual's minimal squared covolumes as reduced (num, den) int pairs, and their half-logs.
+    M -> M^perp maps primitive rank-(n - p) sublattices of L onto primitive rank-p ones of the
+    dual with covol(M^perp) = covol(M) / covol(L) (Cassels, ch. VIII), so dual covol2_p is the
+    primal core's covol2_(n - p) / det, with covol2_0 = 1."""
+    det = minima.lattice.det
     pairs = []
-    for p, c in enumerate(_min_covol2(_adjugate_lattice(lat), budget), start=1):
-        g = math.gcd(c, det**p)
-        pairs.append((c // g, det**p // g))
+    for c in reversed([1, *_min_covol2(minima, budget)[:-1]]):
+        g = math.gcd(c, det)
+        pairs.append((c // g, det // g))
     return pairs, tuple(0.5 * (math.log(a) - math.log(b)) for a, b in pairs)
 
 
 def sublattice_heights(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> SublatticeHeightTable:
     """Minimal log-covolumes of primitive sublattices of every rank p: the integer core,
     _min_covol2, as Fractions, and their half-logs."""
-    covol2 = _min_covol2(lat, budget)
+    covol2 = _min_covol2(successive_minima(lat, budget), budget)
     from fractions import Fraction
     return SublatticeHeightTable(lat, tuple(map(Fraction, covol2)), tuple(0.5 * math.log(c) for c in covol2))
 
@@ -410,7 +409,7 @@ def dual_heights(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> tuple[tuple[
     """Exact squared covolumes of minimal primitive sublattices of the dual, built from the
     reduced int pairs of _dual_covol2, and their half-logs."""
     from fractions import Fraction
-    pairs, logs = _dual_covol2(lat, budget)
+    pairs, logs = _dual_covol2(successive_minima(lat, budget), budget)
     return tuple(Fraction(a, b) for a, b in pairs), logs
 
 
@@ -420,25 +419,25 @@ def verify_transference(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> Trans
     For each p in [1, rank], checks
         ell_(rank-p)(dual) <= sum_(j<=p) lambda_j
                            <= C(rank-1, K) + ell_(rank-p)(dual) + log det,
-    over the rationals, with the rank-0 dual height equal to 0.  Ranks above
-    HEIGHT_MAX_RANK = 4 are rejected with ParameterError.  Both sides are
-    theorems for the integer Gram lattices it accepts: the lower via covolume
-    duality plus Hadamard on the minima witnesses, the upper via the
-    second-theorem volume bound (every partial minima sum is at most the full
-    one, primal sublattice covolumes are >= 1, and the unit-ball volume grows
-    through dimension 5).  A violation raises, signalling an implementation
-    bug.  The log-det-free printed form of the upper bound is reported per
-    row but not enforced; it fails on lattices as small as diag(3, 3).  The
-    dual heights are half-logs of the integer core's pairs, _dual_covol2, so
-    the check builds no Fraction.
+    over the rationals, with the rank-0 dual height equal to 0.  Both sides are
+    theorems for every GramLattice: the lower by covolume duality plus Hadamard
+    on the minima witnesses.  For the upper, C(n-1, Q) = log(2^n / V_(n-1)),
+    n = rank, V_k the unit k-ball's volume.  At p < n, Minkowski II on the
+    primal primitive rank-p sublattice M orthogonal to the dual's minimizer
+    (log covol M = dual height + log det / 2, lambda_j(L) <= lambda_j(M)), with
+    2^p / V_p <= 2^n / V_(n-1) and det >= 1.  At p = n, Minkowski on L needs
+    V_(n-1) / V_n <= sqrt(det): V_(n-1) <= V_n up to n = 5; V_5 / V_6 = 1.0186
+    needs det >= 2, and det = 1 means Z^6, minima sum 0.  A violation raises,
+    signalling an implementation bug.  The log-det-free printed form of the
+    upper bound is reported per row but not enforced; it fails on lattices as
+    small as diag(3, 3).  The minima are enumerated once, and the dual heights
+    are half-logs of _dual_covol2's pairs, so the check builds no Fraction.
     """
     # imported here, so that the lattice commands that skip this check do not load bounds
     from .bounds import RATIONAL_FIELD, transference_constant
     n = lat.rank
-    if n > HEIGHT_MAX_RANK:
-        raise ParameterError(f"transference check supports rank <= {HEIGHT_MAX_RANK}, got {n}")
     minima = successive_minima(lat, budget)
-    _, d_heights = _dual_covol2(lat, budget)
+    _, d_heights = _dual_covol2(minima, budget)
     constant = transference_constant(n - 1, RATIONAL_FIELD)
     log_det = math.log(lat.det)
     rows = []
@@ -472,22 +471,22 @@ class HomogeneousForm(namedtuple("HomogeneousForm", "num_vars degree terms")):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.num_vars < 1 or self.degree < 1:
-            raise ParameterError("need at least one variable and degree >= 1")
+        if any(not isinstance(x, int) or x < 1 for x in (self.num_vars, self.degree)):
+            raise ParameterError("need at least one variable and degree >= 1, both integers")
         if not self.terms:
             raise ParameterError("a form needs at least one nonzero coefficient")
         for exps, coeff in self.terms:
-            if len(exps) != self.num_vars or any(e < 0 for e in exps):
+            if len(exps) != self.num_vars or any(not isinstance(e, int) or e < 0 for e in exps):
                 raise ParameterError(f"bad exponent vector {exps}")
             if sum(exps) != self.degree:
                 raise ParameterError(f"term {exps} has degree {sum(exps)}, form has {self.degree}")
-            if coeff == 0:
-                raise ParameterError("zero coefficients must be dropped")
+            if not isinstance(coeff, int) or coeff == 0:
+                raise ParameterError(f"coefficient {coeff!r} is not a nonzero integer")
         return self
 
     @classmethod
     def from_terms(cls, num_vars: int, terms: dict[tuple[int, ...], int]) -> "HomogeneousForm":
-        cleaned = {tuple(e): int(c) for e, c in terms.items() if c}
+        cleaned = {tuple(e): c for e, c in terms.items() if c}
         if not cleaned:
             raise ParameterError("a form needs at least one nonzero coefficient")
         degree = sum(next(iter(cleaned)))

@@ -367,17 +367,19 @@ class TestLatticeCommand:
         code, _ = run(capsys, "lattice", "avoid", "--gram", str(DATA / "identity2.gram"))
         assert code == 2
 
-    def test_heights_above_height_max_rank_exits_2(self, capsys, tmp_path):
-        # minima accept rank <= MAX_RANK = 6, heights and transference rank <= HEIGHT_MAX_RANK = 4
-        gram = tmp_path / "identity5.gram"
-        gram.write_text("5\n" + "".join(" ".join("1" if i == j else "0" for j in range(5)) + "\n" for i in range(5)))
-        code = cli.main(["lattice", "heights", "--gram", str(gram)])
+    def test_heights_above_max_rank_exits_2(self, capsys, tmp_path):
+        # every lattice action shares one cap, MAX_RANK = 6: rank 5 has heights, rank 7 exits 2
+        for n in (5, 7):
+            (tmp_path / f"identity{n}.gram").write_text(
+                f"{n}\n" + "".join(" ".join("1" if i == j else "0" for j in range(n)) + "\n" for i in range(n))
+            )
+        code, out = run(capsys, "lattice", "heights", "--gram", str(tmp_path / "identity5.gram"))
+        assert code == 0 and [parse_kv(ln)["covol2"] for ln in out.splitlines()[:5]] == ["1/1"] * 5
+        code = cli.main(["lattice", "heights", "--gram", str(tmp_path / "identity7.gram")])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == "status=fail\n"
-        assert captured.err == "error=sublattice heights support rank <= 4, got 5\n"
-        code, out = run(capsys, "lattice", "minima", "--gram", str(gram))
-        assert code == 0 and parse_kv(out.splitlines()[0])["sq_minima"] == "1,1,1,1,1"
+        assert captured.err == "error=rank must be in [1, 6], got 7\n"
 
     @pytest.mark.parametrize("name", ["missing", "directory", "not-utf8"])
     def test_missing_file_exits_2(self, capsys, tmp_path, name):
@@ -454,6 +456,17 @@ class TestContract:
         checks = [ln for ln in lines if ln.startswith("check=")]
         assert len(checks) == 11
         assert all(" status=pass " in ln for ln in checks)
+
+    @pytest.mark.parametrize("argv", [["verify-all", "--quick"], ["secant", "--g", "1", "--m", "5", "--d", "2"]])
+    def test_json_timing_has_the_elapsed_line_keys(self, capsys, argv):
+        # the last key of a --json object holds the fields of the text elapsed line, in its order
+        _, out = run(capsys, *argv)
+        text_keys = list(parse_kv(out.splitlines()[-1]))
+        _, out = run(capsys, "--json", *argv)
+        payload = json.loads(out)
+        assert list(payload) == ["command", "status", "records", "timing"]
+        assert list(payload["timing"]) == text_keys
+        assert all(type(v) is int and v >= 0 for v in payload["timing"].values())
 
     def test_verify_all_timing_fields(self, capsys):
         _, out = run(capsys, "verify-all", "--quick")

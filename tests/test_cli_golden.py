@@ -1,15 +1,19 @@
 """Byte-identity of CLI payloads against committed golden outputs.
 
 Each golden file holds the exit code on its first line, then everything the
-command printed to stdout before its trailing elapsed_ms line (a --json run
-prints no such line, so all of it).  Rewrite the files only for a deliberate
-change of output, with
+command printed to stdout before its trailing elapsed_ms line.  A --json run
+prints no such line; its object is stored without its last key, "timing",
+re-serialised by the CLI's own json.dumps call.  Running
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+writes the golden files that do not exist yet and leaves every other one as it
+is, so a deliberate change of output deletes the files it changes first.
 """
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -33,11 +37,11 @@ COMMANDS = {
         for action in ["minima", "dual", "heights", "transference"]
         for gram in GRAMS
     },
-    # rank 3 and 4 reach the compound-lattice search, the p = n - 1 case included
+    # rank 3 to 6 reach the compound-lattice search, the p = n - 1 case included
     **{
         f"lattice-{action}-{gram}": ["lattice", action, "--gram", str(DATA / f"{gram}.gram")]
         for action in ["heights", "transference"]
-        for gram in ["rank3", "rank4"]
+        for gram in ["rank3", "rank4", "rank5", "rank6"]
     },
     "lattice-heights-rank4-json": ["--json", "lattice", "heights", "--gram", str(DATA / "rank4.gram")],
     **{
@@ -94,12 +98,18 @@ COMMANDS = {
 
 
 def stable_output(argv: list[str]) -> str:
-    """Exit code, then stdout up to the elapsed_ms line, which must come last if present."""
+    """Exit code, then stdout up to the elapsed_ms line, which must come last, or the JSON
+    object without its "timing", which must be its last key."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     lines = out.getvalue().splitlines(keepends=True)
-    if "--json" not in argv:
+    if "--json" in argv:
+        payload = json.loads(out.getvalue())
+        assert list(payload)[-1] == "timing", "timing must be the last key"
+        del payload["timing"]
+        lines = [json.dumps(payload, default=str) + "\n"]
+    else:
         assert lines[-1].startswith("elapsed_ms="), "elapsed_ms must be the last line"
         lines = lines[:-1]
     return f"exit={code}\n" + "".join(lines)
@@ -118,4 +128,7 @@ def test_every_golden_file_is_checked():
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name, argv in COMMANDS.items():
-        (GOLDEN / f"{name}.txt").write_text(stable_output(argv))
+        path = GOLDEN / f"{name}.txt"
+        if not path.exists():
+            path.write_text(stable_output(argv))
+            print(f"wrote {path}")

@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,6 +28,7 @@ from secmin.lattice import (
     verify_transference,
 )
 
+DATA = Path(__file__).parent / "data"
 IDENTITY2 = GramLattice.from_rows([[1, 0], [0, 1]])
 HEXAGONAL = GramLattice.from_rows([[2, 1], [1, 2]])
 DIAG14 = GramLattice.from_rows([[1, 0], [0, 4]])
@@ -356,6 +358,24 @@ class TestGramLattice:
         assert lat.det == 4 and len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GramLattice.from_rows([[2.5, 1], [1, 2]]),
+        lambda: GramLattice.from_rows([[Fraction(5, 2), 1], [1, 2]]),
+        lambda: HomogeneousForm.from_terms(2, {(1, 0): 2.7}),
+        lambda: HomogeneousForm(2, 1, (((1, 0), 2.7),)),
+        lambda: HomogeneousForm.from_terms(2, {(1.0, 0): 3}),
+    ],
+    ids=["gram-float", "gram-fraction", "form-float-coefficient", "record-float-coefficient", "form-float-exponent"],
+)
+def test_non_integer_entries_rejected(build):
+    # the constructors convert nothing: a non-int entry, coefficient or exponent is refused,
+    # not truncated (2.5 -> 2, 2.7 -> 2) or carried into evaluate_form (degree 1.0)
+    with pytest.raises(ParameterError):
+        build()
+
+
 class TestMinorsKernel:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -457,10 +477,9 @@ class TestDualLattice:
         assert sq == [Fraction(2, 3), Fraction(2, 3)]
 
     def test_non_integral_adjugate_detected(self, monkeypatch):
-        # a cofactor step giving G . adj != det . I: here adj = I against det(HEXAGONAL) = 3
+        # a cofactor step giving G . adj != det . I: here adj = I against det(HEXAGONAL) = 3;
+        # dual_lattice is the one route that builds the adjugate
         monkeypatch.setattr(lattice, "_adjugate", lambda rows: [[1, 0], [0, 1]])
-        with pytest.raises(VerificationError):
-            dual_heights(HEXAGONAL)
         with pytest.raises(VerificationError):
             dual_lattice(HEXAGONAL)
 
@@ -511,12 +530,13 @@ class TestSublatticeHeights:
         assert sublattice_heights(diag).covol2 == (Fraction(1), Fraction(1), Fraction(4), Fraction(36))
 
     def test_duality_identity(self):
-        # covol2_p(V) == covol2_(n-p)(dual) * det(V) for all p, exactly
+        # covol2_p(V) == covol2_(n-p)(dual) * det(V) for all p, exactly, with the dual's
+        # heights from the adjugate's own enumeration, not read off the primal core
         rng = random.Random(416)
         for _ in range(12):
             lat = random_pd_gram(rng, 3)
             primal = sublattice_heights(lat).covol2
-            dual2, _ = dual_heights(lat)
+            dual2, _ = fraction_dual_heights(lat)
             n = lat.rank
             for p in range(1, n):
                 assert primal[p - 1] == dual2[n - p - 1] * lat.det
@@ -595,9 +615,15 @@ class TestSublatticeHeights:
             lattice._min_primitive_covol2(SKEWED4, 2, minima, budget=1)
 
     def test_rank_cap(self):
-        lat = GramLattice.from_rows([[1 if i == j else 0 for j in range(5)] for i in range(5)])
-        with pytest.raises(ParameterError):
-            sublattice_heights(lat)
+        # one cap, MAX_RANK = 6: heights take every rank GramLattice accepts, and Z^6 is
+        # the det = 1 case of the transference upper side at p = n
+        assert not hasattr(lattice, "HEIGHT_MAX_RANK")
+        for n in (5, 6):
+            z = GramLattice.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+            assert sublattice_heights(z).covol2 == dual_heights(z)[0] == (Fraction(1),) * n
+            assert verify_transference(z).ok
+        with pytest.raises(ParameterError, match=r"^rank must be in \[1, 6\], got 7$"):
+            GramLattice.from_rows([[1 if i == j else 0 for j in range(7)] for i in range(7)])
 
     def test_dependent_witnesses_detected(self, monkeypatch):
         z3 = GramLattice.from_rows([[1 if i == j else 0 for j in range(3)] for i in range(3)])
@@ -669,6 +695,23 @@ class TestTransference:
         prof = successive_minima(SKEWED4)
         assert prof.witnesses == ((2, 2, 3, 1), (3, 2, 4, 1), (9, 7, 12, 4), (1, 1, 2, 1))
 
+    # the first two exhausted the adjugate enumeration's budget, the third is the Gram on which
+    # test_against_subset_search_oracle's adjugate oracle can still exhaust it
+    @pytest.mark.parametrize("rows", [
+        [[61, -34, 62, -63], [-34, 45, -51, 31], [62, -51, 75, -60], [-63, 31, -60, 67]],
+        [[52, -38, -14, 12], [-38, 38, 32, -17], [-14, 32, 82, -53], [12, -17, -53, 42]],
+        [[15, 1, -3, 10], [1, 9, -2, -5], [-3, -2, 18, -15], [10, -5, -15, 22]],
+    ])
+    def test_skewed_adjugate_regression(self, rows):
+        lat = GramLattice.from_rows(rows)
+        t0 = time.perf_counter()
+        report = verify_transference(lat)
+        assert time.perf_counter() - t0 < 1.0
+        covol2 = sublattice_heights(lat).covol2
+        for row in report.rows[:-1]:
+            q = covol2[row.p - 1] / lat.det
+            assert row.lower == 0.5 * (math.log(q.numerator) - math.log(q.denominator))
+
 
 def fraction_dual_heights(lat: GramLattice):
     """Test oracle, the former dual_heights: the adjugate's heights over det^p as Fractions,
@@ -703,6 +746,45 @@ class TestIntegerCore:
             lower = 0.0 if row.p == rank else dual_logs[rank - row.p - 1]
             assert row.lower == lower
             assert row.upper == report.constant + lower + math.log(lat.det)
+
+    def test_one_lattice_enumerated(self, monkeypatch):
+        # no heights or transference path builds the adjugate, and each enumerates its minima once
+        def no_adjugate(lat):
+            raise AssertionError(f"adjugate of {lat.gram} built")
+
+        real, calls = lattice.successive_minima, []
+        monkeypatch.setattr(lattice, "_adjugate_lattice", no_adjugate)
+        monkeypatch.setattr(lattice, "successive_minima", lambda lat, budget: calls.append(lat) or real(lat, budget))
+        for lat in (HEXAGONAL, SKEWED4, read_gram((DATA / "rank5.gram").read_text())):
+            for route in (sublattice_heights, dual_heights, verify_transference):
+                calls.clear()
+                route(lat)
+                assert calls == [lat]
+
+    @pytest.mark.parametrize("name", ["rank5", "rank6"])
+    def test_rank5_and_rank6_goldens_against_oracles(self, name):
+        # the covol2 printed in the heights golden, against the subset search at p <= 3 (it
+        # takes seconds to minutes at p >= 4), and dual_heights against the adjugate's route
+        lat = read_gram((DATA / f"{name}.gram").read_text())
+        golden = (DATA / "cli_golden" / f"lattice-heights-{name}.txt").read_text().splitlines()
+        covol2 = tuple(Fraction(ln.split()[1].removeprefix("covol2=")) for ln in golden if ln.startswith("p="))
+        assert covol2 == sublattice_heights(lat).covol2 and covol2[-1] == lat.det
+        for p in range(1, 4):
+            assert covol2[p - 1] == subset_search_covol2(lat, p)
+        assert dual_heights(lat) == fraction_dual_heights(lat)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_rank5_against_the_oracles(self, data):
+        lat = data.draw(gram_lattices(5, spread=data.draw(st.integers(min_value=1, max_value=2))))
+        try:
+            dual = fraction_dual_heights(lat)
+        except ResourceLimitError:
+            assume(False)  # the unreduced enumeration's known budget exhaustion, not this route
+        covol2 = sublattice_heights(lat).covol2
+        assert covol2[:3] == tuple(subset_search_covol2(lat, p) for p in range(1, 4))
+        assert dual_heights(lat) == dual
+        assert verify_transference(lat).ok
 
 
 class TestForms:

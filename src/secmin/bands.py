@@ -14,8 +14,7 @@ largest prime <= n leaves (Nagura).  So min_band(n) is the prime-power gap,
 found from that prime and the powers of the primes <= sqrt(n) with no table
 up to n.
 prime_divides_band reads the band's definition through a p-adic walk on small
-integers, and band_gcd keeps the exact bignum GCD scan as the oracle the tests
-hold min_band and the walk to.
+integers; the tests hold min_band and the walk to an exact bignum GCD scan.
 
 Range verifications read the sieve's prime-power byte table with C-level
 bytes.find/rfind; they are deterministic and embarrassingly parallel over n.
@@ -24,21 +23,22 @@ bytes.find/rfind; they are deterministic and embarrassingly parallel over n.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import Counter
 from itertools import accumulate, compress, islice
 from operator import sub
 
 from .arith import PrimePowerSieve, build_sieve, is_prime, largest_undivided, primes_covering, require_prime
 from .errors import ParameterError, VerificationError
+from .records import Record
 
 
-class BandGapRecord(namedtuple("BandGapRecord", "n gap witness_prime_power")):
+class BandGapRecord(Record, fields="n gap witness_prime_power"):
     """The prime-power gap c(n) = n - witness_prime_power, the largest prime power <= n."""
 
     __slots__ = ()
 
 
-class GapSumReport(namedtuple("GapSumReport", "n partial_sum exponent ratio max_ratio argmax")):
+class GapSumReport(Record, fields="n partial_sum exponent ratio max_ratio argmax"):
     """Observed growth of the gap function up to n, scaled by the float n^exponent.
 
     ratio = (the integer partial_sum of gaps for 2 <= j <= n) / n^exponent;
@@ -53,28 +53,6 @@ class GapSumReport(namedtuple("GapSumReport", "n partial_sum exponent ratio max_
         """The fields as the CLI and the reference log print them, n named max."""
         return {"max": self.n, "exponent": self.exponent, "partial_sum": self.partial_sum,
                 "ratio": self.ratio, "max_ratio": self.max_ratio, "argmax": self.argmax}
-
-
-def band_gcd(n: int, b: int) -> int:
-    """Exact GCD of the binomials C(n, m) over the open band b < m < n - b.
-
-    Scans only up to the middle (the band is symmetric) and stops early once
-    the running GCD reaches 1.  An empty band yields gcd 0.  This bignum scan
-    is the tests' exact oracle for min_band and prime_divides_band.
-    """
-    if n < 2:
-        raise ParameterError(f"band_gcd needs n >= 2, got {n}")
-    if b < 0:
-        raise ParameterError(f"band start must be >= 0, got {b}")
-    g = 0
-    c = math.comb(n, b + 1)
-    gcd = math.gcd
-    for m in range(b + 1, n // 2 + 1):  # empty exactly when the band is
-        g = gcd(g, c)
-        if g == 1:
-            break
-        c = c * (n - m) // (m + 1)
-    return g
 
 
 def prime_divides_band(n: int, b: int, p: int) -> bool:
@@ -101,7 +79,7 @@ def min_band(n: int) -> int:
 
     A prime p divides every C(n, m) with b < m < n - b exactly when
     prime_band(n, p) <= b (Kummer), so the band is the least prime band over
-    primes p <= n; band_gcd is the exact oracle.  Let cap = n//2 and P the
+    primes p <= n.  Let cap = n//2 and P the
     largest power of p that is <= n.  When P > cap, n's top base-p digit is 1
     and prime_band(n, p) = n - P (the leading-digit rule).  When P <= cap,
     m = P and the numbers a*P + (n mod P), a up to n's top digit, are
@@ -110,10 +88,10 @@ def min_band(n: int) -> int:
     Nagura there is a prime in [x, 6x/5] for x >= 25; with x = 5n/6 the
     largest prime q <= n has n - q <= n/6 < (cap + 1)/2 for n >= 30, and
     q > cap.  So no prime with P <= cap wins, and the band is n minus the
-    largest prime power <= n.  Rows n < 30 are checked exhaustively in the
-    tests.  Primality is read near n and below sqrt n only: the reads near n
-    that the shared table does not reach go to trial division, so no row
-    sieves a table up to n.
+    largest prime power <= n.  The tests check rows n < 30 exhaustively, and
+    rows up to 3000 against an exact bignum GCD scan.  Primality is read near
+    n and below sqrt n only: the reads near n that the shared table does not
+    reach go to trial division, so no row sieves a table up to n.
     """
     if n < 2:
         raise ParameterError(f"min_band needs n >= 2, got {n}")

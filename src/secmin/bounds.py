@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import namedtuple
 
 from .errors import ParameterError
+from .records import Record
 from .secant import degree_formula
 
 
-class NumberFieldData(namedtuple("NumberFieldData", "degree real_places complex_places log_disc")):
+class NumberFieldData(Record, fields="degree real_places complex_places log_disc"):
     """Degree, signature (r1 real and r2 complex places), and the float log|disc| of a number field."""
 
     __slots__ = ()
@@ -44,7 +44,7 @@ class NumberFieldData(namedtuple("NumberFieldData", "degree real_places complex_
 RATIONAL_FIELD = NumberFieldData(degree=1, real_places=1, complex_places=0, log_disc=0.0)
 
 
-class SurfaceData(namedtuple("SurfaceData", "genus degree l2 l_omega omega2 field")):
+class SurfaceData(Record, fields="genus degree l2 l_omega omega2 field"):
     """Arithmetic-surface inputs over a NumberFieldData field: genus, fiber degree m of the
     line bundle, and the float intersection numbers l2 = L.L, l_omega = L.omega, omega2 = omega.omega."""
 
@@ -100,9 +100,10 @@ def height_floor(s: SurfaceData) -> float:
 def _log_degree_term(genus: int, m: int, d: int) -> float:
     """log(D(g,m,d)(m+g)), the secant degree lifted to at least 1.
 
-    The formula evaluates to 0 once the secant variety fills projective space;
-    the degree of the full space is 1, and the log term needs a positive
-    argument, so 0 is lifted to 1.
+    The formula is 0 only once 2d > m + g - 1, past the point where the secant
+    variety fills projective space; the log term needs a positive argument,
+    so 0 is lifted to 1.  At 2d = m + g - 1 the term reads the formula's
+    value, the count of secant planes through a general point (SecantParams).
     """
     return math.log(max(degree_formula(genus, m, d), 1) * (m + genus))
 
@@ -221,7 +222,7 @@ INPUTS = {
 DEFAULTS = {"rank_shift": False, "Lw": 0.0, "w2": 0.0, "e_val": None}
 
 
-class BoundReport(namedtuple("BoundReport", "kind value inputs")):
+class BoundReport(Record, fields="kind value inputs"):
     """An evaluator result with the exact inputs needed to replay it, as sorted (name, value) pairs."""
 
     __slots__ = ()

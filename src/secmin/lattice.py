@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
 from itertools import combinations, product
 
 from .errors import ParameterError, ResourceLimitError, VerificationError
+from .records import Record
 
 MAX_RANK = 6
 DEFAULT_BUDGET = 2_000_000
@@ -90,7 +90,7 @@ def _echelon(gram) -> tuple[tuple[int, ...], ...]:
     return tuple((0,) * i + tuple(row[i:]) for i, row in enumerate(rows))
 
 
-class GramLattice(namedtuple("GramLattice", "gram echelon")):
+class GramLattice(Record, fields="gram echelon"):
     """Full-rank integer lattice described by its positive-definite Gram matrix, a tuple of
     integer rows; echelon, its _echelon, is computed once by the validation and read by every
     enumeration on it and by det."""
@@ -107,6 +107,9 @@ class GramLattice(namedtuple("GramLattice", "gram echelon")):
         if any(gram[i][j] != gram[j][i] for i in range(n) for j in range(i)):
             raise ParameterError("Gram matrix must be symmetric")
         return super().__new__(cls, gram, _echelon(gram))
+
+    def __getnewargs__(self):  # a pickle or copy rebuilds the echelon through __new__
+        return (self.gram,)
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> "GramLattice":
@@ -125,13 +128,13 @@ class GramLattice(namedtuple("GramLattice", "gram echelon")):
         return sum(v[i] * g[i][j] * v[j] for i in range(self.rank) for j in range(self.rank))
 
 
-class RationalGram(namedtuple("RationalGram", "entries")):
+class RationalGram(Record, fields="entries"):
     """Exact rational Gram matrix, rows of Fractions, used for dual lattices."""
 
     __slots__ = ()
 
 
-class MinimaProfile(namedtuple("MinimaProfile", "lattice sq_minima log_minima witnesses")):
+class MinimaProfile(Record, fields="lattice sq_minima log_minima witnesses"):
     """Successive minima of a GramLattice with independent witnesses, norms in ascending order.
 
     sq_minima are the exact integer squared norms; log_minima their float
@@ -143,14 +146,14 @@ class MinimaProfile(namedtuple("MinimaProfile", "lattice sq_minima log_minima wi
     __slots__ = ()
 
 
-class SublatticeHeightTable(namedtuple("SublatticeHeightTable", "lattice covol2 log_heights")):
+class SublatticeHeightTable(Record, fields="lattice covol2 log_heights"):
     """Minimal squared covolumes (Fractions) of primitive rank-p sublattices, p = 1..rank, and
     their float half-logs."""
 
     __slots__ = ()
 
 
-class TransferenceRow(namedtuple("TransferenceRow", "p lower minima_sum upper printed_upper")):
+class TransferenceRow(Record, fields="p lower minima_sum upper printed_upper"):
     """One rank p of the two-sided minima/dual-height comparison.
 
     upper = constant + lower + log det is the provable bound; printed_upper
@@ -173,7 +176,7 @@ class TransferenceRow(namedtuple("TransferenceRow", "p lower minima_sum upper pr
         return self.minima_sum <= self.printed_upper + LOG_TOLERANCE
 
 
-class TransferenceReport(namedtuple("TransferenceReport", "lattice constant rows")):
+class TransferenceReport(Record, fields="lattice constant rows"):
     """The transference constant of a GramLattice and one TransferenceRow per rank p."""
 
     __slots__ = ()
@@ -464,7 +467,7 @@ def verify_transference(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> Trans
     return report
 
 
-class HomogeneousForm(namedtuple("HomogeneousForm", "num_vars degree terms")):
+class HomogeneousForm(Record, fields="num_vars degree terms"):
     """Integer homogeneous polynomial, stored as sorted (exponents, coeff) pairs."""
 
     __slots__ = ()
@@ -507,7 +510,9 @@ def evaluate_form(f: HomogeneousForm, v: tuple[int, ...] | list[int]) -> int:
     return total
 
 
-AvoidanceResult = namedtuple("AvoidanceResult", "grid_vector lattice_vector value log_norm log_bound within_bound")
+class AvoidanceResult(Record, fields="grid_vector lattice_vector value log_norm log_bound within_bound"):
+    """The first grid point off a hypersurface, its lattice vector and form value, and the norm test."""
+    __slots__ = ()
 
 
 def avoid_hypersurface(f: HomogeneousForm, minima: MinimaProfile) -> AvoidanceResult:

@@ -20,20 +20,23 @@ of row n is the coefficient of x^(n-j) theta^[j], for j <= min(n, g).
 
 from __future__ import annotations
 
-from collections import namedtuple
 from math import comb
 
 from .arith import binomial
 from .errors import ParameterError, VerificationError
+from .records import Record
 
 
-class SecantParams(namedtuple("SecantParams", "genus bundle_degree index")):
+class SecantParams(Record, fields="genus bundle_degree index"):
     """Genus g, line-bundle degree m, and secant index d.
 
-    The embedding uses the m + 2g - 2 sections of the twist by the canonical
-    bundle, so the ambient projective space has dimension m + g - 2.  The
-    closed degree formula applies when 2d <= m + g - 1 (the secant variety
-    then has dimension 2d - 1) and m > 2.
+    The twist by the canonical bundle has degree e = m + 2g - 2 and m + g - 1
+    sections, so the curve sits in P^N with N = m + g - 2.  require_valid asks
+    for m > 2 and 2d <= m + g - 1.  For 2d < m + g - 1 the secant variety
+    Sigma_d has dimension 2d - 1 < N, and both routes give its degree.  At
+    2d = m + g - 1, Sigma_d fills P^N, so its degree is 1; the number both
+    routes give there counts the d-secant (d - 1)-planes through a general
+    point of P^N (at d = 2, the (e - 1)(e - 2)/2 - g apparent double points).
     """
 
     __slots__ = ()

@@ -12,11 +12,11 @@ import math
 import random
 import struct
 import time
-from collections import namedtuple
 from itertools import product
 
 from . import arith, bands, bounds, lattice, secant
 from .errors import ParameterError, VerificationError
+from .records import Record
 
 SEED_GRAM = 987001
 SEED_FORMS = 987002
@@ -39,7 +39,9 @@ RANGES = {
 }
 
 
-CheckResult = namedtuple("CheckResult", "name ok detail elapsed_ms")
+class CheckResult(Record, fields="name ok detail elapsed_ms"):
+    """One check's name, verdict, detail line and wall time in whole milliseconds."""
+    __slots__ = ()
 
 
 class SuiteRun(list):

@@ -22,7 +22,6 @@ from secmin.bands import (
     GapSumReport,
     asymptotic_report,
     asymptotic_reports,
-    band_gcd,
     min_band,
     prime_band,
     prime_divides_band,
@@ -37,6 +36,28 @@ def gcd_of_row_band(n: int, b: int) -> int:
     """Test oracle: math.gcd over the explicitly materialized band."""
     values = [math.comb(n, m) for m in range(b + 1, n - b)]
     return math.gcd(*values) if values else 0
+
+
+def band_gcd(n: int, b: int) -> int:
+    """Exact GCD of the binomials C(n, m) over the open band b < m < n - b.
+
+    Scans only up to the middle (the band is symmetric) and stops early once
+    the running GCD reaches 1.  An empty band yields gcd 0.  This bignum scan
+    is the exact oracle for min_band and prime_divides_band.
+    """
+    if n < 2:
+        raise ParameterError(f"band_gcd needs n >= 2, got {n}")
+    if b < 0:
+        raise ParameterError(f"band start must be >= 0, got {b}")
+    g = 0
+    c = math.comb(n, b + 1)
+    gcd = math.gcd
+    for m in range(b + 1, n // 2 + 1):  # empty exactly when the band is
+        g = gcd(g, c)
+        if g == 1:
+            break
+        c = c * (n - m) // (m + 1)
+    return g
 
 
 def brute_prime_band(n: int, p: int) -> int:

@@ -746,6 +746,7 @@ def test_import_leaves_json_unloaded():
 
 
 ARITH, BANDS, BOUNDS, LATTICE, SECANT = (f"secmin.{m}" for m in ("arith", "bands", "bounds", "lattice", "secant"))
+RECORDS = "secmin.records"  # the result-record base, loaded with the first computation module
 FRACTIONS = {"fractions", "decimal"}  # fractions imports decimal
 # each loads only where a command needs it; argparse, gettext and locale load nowhere, -h included
 WATCHED = {"fractions", "decimal", "typing", "random", "struct", "dataclasses", "inspect", "json",
@@ -759,23 +760,23 @@ HEXAGONAL = str(DATA / "hexagonal.gram")
         pytest.param([], set(), id="import"),
         pytest.param(["-h"], set(), id="help"),
         pytest.param(["lattice", "-h"], set(), id="lattice-help"),
-        pytest.param(["bands", "single", "--n", "1000000"], {ARITH, BANDS}, id="bands-single"),
-        pytest.param(["secant", "--g", "1", "--m", "5", "--d", "2"], {ARITH, SECANT}, id="secant"),
+        pytest.param(["bands", "single", "--n", "1000000"], {ARITH, BANDS, RECORDS}, id="bands-single"),
+        pytest.param(["secant", "--g", "1", "--m", "5", "--d", "2"], {ARITH, SECANT, RECORDS}, id="secant"),
         pytest.param(["bounds", "lambda", "--g", "2", "--m", "12", "--k", "3", "--L2", "7.0"],
-                     {ARITH, SECANT, BOUNDS}, id="bounds-lambda"),
-        pytest.param(["lattice", "minima", "--gram", HEXAGONAL], {LATTICE}, id="lattice-minima"),
-        pytest.param(["lattice", "avoid", "--gram", HEXAGONAL, "--form", str(DATA / "product_form.txt")], {LATTICE},
-                     id="lattice-avoid"),
-        pytest.param(["lattice", "dual", "--gram", HEXAGONAL], {LATTICE} | FRACTIONS, id="lattice-dual"),
+                     {ARITH, SECANT, BOUNDS, RECORDS}, id="bounds-lambda"),
+        pytest.param(["lattice", "minima", "--gram", HEXAGONAL], {LATTICE, RECORDS}, id="lattice-minima"),
+        pytest.param(["lattice", "avoid", "--gram", HEXAGONAL, "--form", str(DATA / "product_form.txt")],
+                     {LATTICE, RECORDS}, id="lattice-avoid"),
+        pytest.param(["lattice", "dual", "--gram", HEXAGONAL], {LATTICE, RECORDS} | FRACTIONS, id="lattice-dual"),
         # the transference check reads the integer core of the heights, not their Fractions
         pytest.param(["lattice", "transference", "--gram", HEXAGONAL],
-                     {ARITH, SECANT, BOUNDS, LATTICE}, id="lattice-transference"),
+                     {ARITH, SECANT, BOUNDS, LATTICE, RECORDS}, id="lattice-transference"),
         pytest.param(["verify-all", "--quick"],
-                     {ARITH, BANDS, SECANT, BOUNDS, LATTICE, "secmin.suite", "random", "struct"},
+                     {ARITH, BANDS, SECANT, BOUNDS, LATTICE, RECORDS, "secmin.suite", "random", "struct"},
                      id="verify-all-quick"),
         # an error prints status=fail without json, and its object with it
-        pytest.param(["lattice", "minima", "--gram="], {LATTICE}, id="lattice-error"),
-        pytest.param(["--json", "lattice", "minima", "--gram="], {LATTICE, "json"}, id="lattice-error-json"),
+        pytest.param(["lattice", "minima", "--gram="], {LATTICE, RECORDS}, id="lattice-error"),
+        pytest.param(["--json", "lattice", "minima", "--gram="], {LATTICE, RECORDS, "json"}, id="lattice-error-json"),
     ],
 )
 def test_cli_loads_only_the_command_modules(argv, loads):

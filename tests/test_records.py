@@ -1,6 +1,8 @@
-"""Result records: immutable namedtuples, validated on every construction path."""
+"""Result records: immutable Record tuples, validated on every construction path but _make and _replace."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,27 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_records_compile_no_code_at_import():
+    # a second import of every module, with namedtuple and eval refused (the import system itself
+    # runs each module through exec); the first import loads the standard library modules secmin
+    # uses, some of which build named tuples of their own
+    probe = (
+        "import builtins, collections, sys\n"
+        "import secmin.suite\n"
+        "for name in [m for m in sys.modules if m.split('.')[0] == 'secmin']:\n"
+        "    del sys.modules[name]\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('code compiled at import')\n"
+        "collections.namedtuple = builtins.eval = refuse\n"
+        "import secmin.suite\n"
+        "print(len(secmin.suite.bands.BandGapRecord._fields))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "3\n"
 
 
 def sample_records():
@@ -61,6 +84,23 @@ class TestImmutable:
 
     def test_is_a_tuple_of_its_fields(self, record):
         assert record == tuple(getattr(record, name) for name in record._fields)
+
+    def test_pickle_and_copy_keep_type_and_value(self, record):
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(twin) is type(record) and twin == record
+
+    def test_make_and_replace_keep_the_type(self, record):
+        first = record._fields[0]
+        for twin in (type(record)._make(record), record._replace(), record._replace(**{first: record[0]})):
+            assert type(twin) is type(record) and twin == record
+
+    def test_wrong_arity_or_unknown_keyword_raises_type_error(self, record):
+        with pytest.raises(TypeError):
+            type(record)(*record, None)
+        with pytest.raises(TypeError):
+            type(record)(*record, extra=None)
+        with pytest.raises(TypeError):
+            type(record)._make((*record, None))
 
 
 FIELDS = {
@@ -146,3 +186,32 @@ def test_validated_records_keep_their_type():
     assert repr(params) == "SecantParams(genus=1, bundle_degree=5, index=2)"
     genus, degree, index = params
     assert (genus, degree, index) == (1, 5, 2)
+
+
+def test_make_and_replace_skip_validation():
+    # the fault-injection tests build records the validation would refuse through these two
+    bad = secant.SecantParams._make((-1, 5, 1))
+    assert type(bad) is secant.SecantParams and bad.genus == -1
+    assert secant.SecantParams(1, 5, 2)._replace(genus=-1) == (-1, 5, 2)
+    with pytest.raises(ValueError):
+        secant.SecantParams(1, 5, 2)._replace(degree=5)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        ((10, 1), {}),  # one field short
+        ((10,), {"gap": 1}),  # a keyword short
+        ((10, 1), {"witness_prime_power": 9, "n": 10}),  # n given twice
+        ((10, 1), {"witness": 9}),  # unknown keyword
+    ],
+)
+def test_construction_needs_every_field_once(args, kwargs):
+    with pytest.raises(TypeError):
+        bands.BandGapRecord(*args, **kwargs)
+
+
+def test_positional_and_keyword_fields_mix():
+    record = bands.BandGapRecord(10, witness_prime_power=9, gap=1)
+    assert type(record) is bands.BandGapRecord and record == (10, 1, 9)
+    assert record.gap == 1 and record._asdict() == {"n": 10, "gap": 1, "witness_prime_power": 9}

@@ -66,6 +66,20 @@ class TestClosedForm:
                     if 2 * d <= m + g - 1:
                         assert degree_formula(g, m, d) == closed_sum_oracle(g, m, d)
 
+    def test_secant_lines_match_the_double_point_count(self):
+        # a third route at d = 2: deg Sigma_2 of a degree-e genus-g curve is (e - 1)(e - 2)/2 - g,
+        # the nodes of a general plane projection (ACGH ch. VIII); at m + g = 5 Sigma_2 fills P^3
+        # and both routes give that count as the secant lines through a general point
+        triples = boundary = 0
+        for g in range(30):
+            for m in range(max(3, 5 - g), 120):
+                e = m + 2 * g - 2
+                want = (e - 1) * (e - 2) // 2 - g
+                assert degree_formula(g, m, 2) == degree_oracle(SecantParams(g, m, 2)) == want, (g, m)
+                triples += 1
+                boundary += m + g == 5
+        assert (triples, boundary) == (3507, 3)
+
     def test_degree_zero_is_one(self):
         for g, m in [(0, 5), (3, 8), (6, 40)]:
             assert degree_formula(g, m, 0) == 1

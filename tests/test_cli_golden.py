@@ -37,10 +37,11 @@ COMMANDS = {
         for action in ["minima", "dual", "heights", "transference"]
         for gram in GRAMS
     },
-    # rank 3 to 6 reach the compound-lattice search, the p = n - 1 case included
+    # rank 3 to 6 reach the compound-lattice search, the p = n - 1 case included, and the
+    # witness independence test decides something
     **{
         f"lattice-{action}-{gram}": ["lattice", action, "--gram", str(DATA / f"{gram}.gram")]
-        for action in ["heights", "transference"]
+        for action in ["minima", "heights", "transference"]
         for gram in ["rank3", "rank4", "rank5", "rank6"]
     },
     "lattice-heights-rank4-json": ["--json", "lattice", "heights", "--gram", str(DATA / "rank4.gram")],

@@ -10,10 +10,11 @@ above PRIME_TABLE_CAP is stored.  is_prime only reads the table: a query past
 its end goes to trial division.  A PrimePowerSieve holds bytes, immutable once
 built and safe to share across threads.
 
-require_prime, the one prime validator, records each p it accepts in
-_known_prime; kummer_valuation and carry_row call it only when p differs.  Only
-an accepted p is stored, in one assignment, and a prime is prime under any
-table, so a call raises exactly when p is not prime, in any order or thread.
+require_prime, the one prime validator, accepts only an int p that is prime and
+records the accepted object in _known_prime; kummer_valuation and carry_row skip
+it only when p is that object.  Only an accepted p is stored, in one assignment,
+and a prime is prime under any table, so a call raises exactly when p is not a
+prime int, in any order or thread: an equal float is never the stored object.
 """
 
 from __future__ import annotations
@@ -66,10 +67,11 @@ def is_prime(n: int) -> bool:
 
 
 def require_prime(p: int) -> None:
-    """ParameterError unless p is prime (read from the shared table, is_prime off it); then p is _known_prime."""
+    """ParameterError unless p is a prime int (read from the shared table, is_prime off it); then
+    p is _known_prime."""
     global _known_prime
     t = _table
-    if not (0 <= p < len(t) and t[p] or is_prime(p)):
+    if not isinstance(p, int) or not (0 <= p < len(t) and t[p] or is_prime(p)):
         raise ParameterError(f"p must be prime, got {p}")
     _known_prime = p
 
@@ -82,9 +84,9 @@ def kummer_valuation(n: int, m: int, p: int) -> int:
     p^2 > n it is one last-digit comparison.  O(log_p n).  The suite uses
     carry_row; this stays because the bench's pascal-rows workload and the tests
     ask for single entries (a row costs O(n)), and the tests hold carry_row to it.
-    require_prime runs only when p differs from the last prime it accepted.
+    require_prime runs unless p is the last prime object it accepted.
     """
-    if p != _known_prime:
+    if p is not _known_prime:
         require_prime(p)
     if m < 0 or m > n:
         raise ParameterError(f"need 0 <= m <= n, got n={n}, m={m}")
@@ -106,7 +108,7 @@ def carry_row(n: int, p: int) -> int:
     m: one period (n mod q + 1 zeros, then ones) tiled along the row.  Summing
     them carries no lane into the next, since an entry is at most log_p n.
     """
-    if p != _known_prime:
+    if p is not _known_prime:
         require_prime(p)
     if n < 0:
         raise ParameterError(f"need n >= 0, got n={n}")

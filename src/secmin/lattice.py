@@ -4,7 +4,10 @@ One Bareiss pass per Gram matrix validates it and gives its determinant and
 the pivots of exact successive minima by bounded enumeration, whose per-level
 windows are exact integer square roots.  One exterior-product kernel, v ^ omega,
 gives every other minor: Plucker coordinates, compounds C_p(G), and the integer
-adjugate, read off C_(n-1)(G), that is det times the exact dual Gram.  On top
+adjugate, read off C_(n-1)(G), that is det times the exact dual Gram.  It also
+answers both rank questions: a minima witness is independent of those before it
+when its wedge with theirs is nonzero, and a compound vector is decomposable when
+the wedge of its Plucker-chart contractions is proportional to it.  On top
 sit minimal primitive covolumes as the shortest decomposable compound-lattice
 vectors and the dual's by duality, a two-sided transference check of minima
 against dual sublattice heights, and grid avoidance of hypersurfaces.
@@ -256,41 +259,27 @@ def _short_vectors(lam, bound2: int, budget: int) -> list[tuple[int, tuple[int, 
     return out
 
 
-def _extends_rank(rows: list[list[int]], v: tuple[int, ...]) -> bool:
-    """Fraction-free echelon update; appends the reduced row when v is independent of rows."""
-    work = list(v)
-    for row in rows:
-        pivot = 0
-        while not row[pivot]:
-            pivot += 1
-        if work[pivot]:
-            a, b = row[pivot], work[pivot]
-            work = [a * w - b * r for w, r in zip(work, row)]
-    if any(work):
-        g = math.gcd(*work)
-        rows.append([w // g for w in work])
-        return True
-    return False
-
-
 def successive_minima(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> MinimaProfile:
     """Exact successive minima by exhaustive enumeration plus greedy witness selection.
 
     Greedy selection of independent vectors in (norm, lex) order realizes
     every minimum exactly, and it picks the same vectors from any sorted
-    prefix that holds rank-many independent ones.  So the radius^2 starts at
-    the smallest Gram diagonal entry and doubles until such a prefix appears,
-    capped at the largest diagonal entry, where the basis itself supplies
-    them.
+    prefix that holds rank-many independent ones.  A vector v is independent
+    of the chosen ones when v ^ omega, omega the wedge of theirs, is nonzero;
+    v ^ omega is then the next omega.  The radius^2 starts at the smallest
+    Gram diagonal entry and doubles until such a prefix appears, capped at
+    the largest diagonal entry, where the basis itself supplies them.
     """
     n = lat.rank
     diagonal = [lat.gram[i][i] for i in range(n)]
     bound2, cap = min(diagonal), max(diagonal)
     while True:
         chosen: list[tuple[int, tuple[int, ...]]] = []
-        rows: list[list[int]] = []
+        omega = [1]  # the wedge of the chosen witnesses
         for q2, v in _short_vectors(lat.echelon, bound2, budget):
-            if _extends_rank(rows, v):
+            wider = _wedge(v, omega, n, len(chosen))
+            if any(wider):
+                omega = wider
                 chosen.append((q2, v))
                 if len(chosen) == n:
                     break
@@ -300,12 +289,7 @@ def successive_minima(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> MinimaP
     if len(chosen) < n:
         raise VerificationError(f"radius^2 {bound2} missed independent vectors, rank {n}")
     sq = tuple(q2 for q2, _ in chosen)
-    return MinimaProfile(
-        lattice=lat,
-        sq_minima=sq,
-        log_minima=tuple(0.5 * math.log(q) for q in sq),
-        witnesses=tuple(v for _, v in chosen),
-    )
+    return MinimaProfile(lat, sq, tuple(0.5 * math.log(q) for q in sq), tuple(v for _, v in chosen))
 
 
 def _adjugate(rows: list[list[int]]) -> list[list[int]]:
@@ -338,15 +322,22 @@ def dual_lattice(lat: GramLattice) -> RationalGram:
     return RationalGram(tuple(tuple(Fraction(a, det) for a in row) for row in _adjugate_lattice(lat).gram))
 
 
-def _wedge_rank(omega: list[int] | tuple[int, ...], n: int, p: int) -> int:
-    """Rank of v -> v ^ omega on Z^n; omega's coordinates follow combinations(range(n), p).
-
-    For nonzero omega the kernel has dimension at most p, with equality exactly
-    when omega = v_1 ^ ... ^ v_p is decomposable (the kernel is then the span
-    of the v_i); so omega is decomposable exactly when the rank is n - p.
-    """
-    rows: list[list[int]] = []
-    return sum(_extends_rank(rows, _wedge([int(i == j) for j in range(n)], omega, n, p)) for i in range(n))
+def _decomposable(omega, n: int, p: int) -> bool:
+    """Whether the nonzero omega, coordinates in combinations(range(n), p) order, is a wedge of
+    p vectors, by the Plucker chart at its first nonzero coordinate omega_T.  The contractions
+    of omega by T - {i}, i in T, are +-omega_T e_i on the columns T, so their wedge u has
+    u_T = +-omega_T^p.  They lie in the span of any p vectors whose wedge is omega, and then
+    u = +-omega_T^(p - 1) omega; conversely omega proportional to u is a multiple of a wedge."""
+    faces = _faces(n, p - 1)
+    t = next(t for t, x in enumerate(omega) if x)
+    rows = {k: [0] * n for _, _, k in faces[t]}
+    for face, x in zip(faces, omega):
+        if x:
+            for i, s, k in face:
+                if k in rows:
+                    rows[k][i] = s * x
+    u = _minors(list(rows.values()), n)
+    return all(a * omega[t] == x * u[t] for a, x in zip(u, omega))
 
 
 def _min_primitive_covol2(lat: GramLattice, p: int, minima: MinimaProfile, budget: int) -> int:
@@ -357,7 +348,8 @@ def _min_primitive_covol2(lat: GramLattice, p: int, minima: MinimaProfile, budge
     C_p(G) the p-th compound of G; the sublattice is saturated exactly when
     gcd(omega) = 1.  So the answer is the first decomposable vector in
     (norm, coords) order of the compound lattice, inside the squared norm U of
-    the saturated span of the first p minima witnesses.  A decomposable k.omega
+    the saturated span of the first p minima witnesses; _decomposable decides
+    each by the Plucker chart, with the wedge kernel.  A decomposable k.omega
     with k > 1 comes after omega, so no gcd filter is needed.  For p = n - 1
     every nonzero vector is decomposable, so the first one is the answer.
     """
@@ -370,7 +362,7 @@ def _min_primitive_covol2(lat: GramLattice, p: int, minima: MinimaProfile, budge
     compound = _compound(lat.gram, p)
     u = sum(a * c * b for a, row in zip(omega, compound) for c, b in zip(row, omega))
     for q2, w in short_vectors(compound, u, budget):
-        if p == n - 1 or _wedge_rank(w, n, p) == n - p:
+        if p == n - 1 or _decomposable(w, n, p):
             return q2
     raise VerificationError(f"no decomposable vector of C_{p}({lat.gram}) within its witnesses' norm {u}")
 
@@ -448,16 +440,8 @@ def verify_transference(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> Trans
     for p in range(1, n + 1):
         minima_sum += minima.log_minima[p - 1]
         lower = 0.0 if p == n else d_heights[n - p - 1]
-        rows.append(
-            TransferenceRow(
-                p=p,
-                lower=lower,
-                minima_sum=minima_sum,
-                upper=constant + lower + log_det,
-                printed_upper=constant + lower,
-            )
-        )
-    report = TransferenceReport(lattice=lat, constant=constant, rows=tuple(rows))
+        rows.append(TransferenceRow(p, lower, minima_sum, constant + lower + log_det, constant + lower))
+    report = TransferenceReport(lat, constant, tuple(rows))
     if not report.ok:
         bad = next(r for r in report.rows if not r.ok)
         raise VerificationError(
@@ -540,12 +524,12 @@ def avoid_hypersurface(f: HomogeneousForm, minima: MinimaProfile) -> AvoidanceRe
             )
             q2 = minima.lattice.norm2(vec)
             return AvoidanceResult(
-                grid_vector=grid,
-                lattice_vector=vec,
-                value=value,
-                log_norm=0.5 * math.log(q2),
-                log_bound=minima.log_minima[-1] + math.log(d * rank),
-                within_bound=q2 <= minima.sq_minima[-1] * (d * rank) ** 2,
+                grid,
+                vec,
+                value,
+                0.5 * math.log(q2),
+                minima.log_minima[-1] + math.log(d * rank),
+                q2 <= minima.sq_minima[-1] * (d * rank) ** 2,
             )
     raise VerificationError("nonzero form vanished on the whole grid; impossible")
 

@@ -353,7 +353,7 @@ MEMO_KERNELS = {
 
 
 class TestKnownPrime:
-    """The per-entry kernels skip require_prime while p equals arith._known_prime."""
+    """The per-entry kernels skip require_prime while p is arith._known_prime."""
 
     @settings(deadline=None, max_examples=300)
     @given(st.lists(MEMO_CALLS, min_size=1, max_size=12), st.sampled_from([2, 5, 1048583]))
@@ -435,6 +435,21 @@ class TestKnownPrime:
             vals = [kummer_valuation(n, m, p) for m in positions]
             assert vals == [row[m] for m in positions] == [legendre_valuation(n, m, p) for m in positions]
         assert len(primes) == 168 and calls == primes
+
+    @pytest.mark.parametrize(
+        "table_limit, known",
+        [(0, 2), (64, 3), (64, 5)],
+        ids=["empty-table", "memo-holds-3", "table-covers-3-memo-holds-5"],
+    )
+    @pytest.mark.parametrize("kernel", sorted(MEMO_KERNELS))
+    def test_float_p_raises_whatever_the_table_and_memo_hold(self, monkeypatch, kernel, table_limit, known):
+        # 3.0 == 3, but only an int is a prime: trial division would accept the float, an equal
+        # memo would skip the check, and a table lookup would raise TypeError
+        monkeypatch.setattr(arith, "_table", prime_table(table_limit) if table_limit else bytearray())
+        monkeypatch.setattr(arith, "_known_prime", known)
+        with pytest.raises(ParameterError, match=r"p must be prime, got 3\.0"):
+            MEMO_KERNELS[kernel][1](10, 3, 3.0)
+        assert arith._known_prime == known
 
 
 class TestIsPrime:

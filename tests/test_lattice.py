@@ -116,6 +116,56 @@ def matrix_rank(rows):
     return rank
 
 
+def oracle_extends_rank(rows: list[list[int]], v) -> bool:
+    """Test oracle: fraction-free echelon update; appends the reduced row when v is
+    independent of rows."""
+    work = list(v)
+    for row in rows:
+        pivot = 0
+        while not row[pivot]:
+            pivot += 1
+        if work[pivot]:
+            a, b = row[pivot], work[pivot]
+            work = [a * w - b * r for w, r in zip(work, row)]
+    if any(work):
+        g = math.gcd(*work)
+        rows.append([w // g for w in work])
+        return True
+    return False
+
+
+def oracle_wedge_rank(omega, n: int, p: int) -> int:
+    """Test oracle: rank of v -> v ^ omega on Z^n; omega's coordinates follow
+    combinations(range(n), p).  For nonzero omega the kernel has dimension at most p, with
+    equality exactly when omega is decomposable, so then the rank is n - p."""
+    rows: list[list[int]] = []
+    images = (lattice._wedge([int(i == j) for j in range(n)], omega, n, p) for i in range(n))
+    return sum(oracle_extends_rank(rows, image) for image in images)
+
+
+def oracle_greedy_witnesses(lat: GramLattice, bound2: int):
+    """Test oracle: the first rank-many vectors of short_vectors(G, bound2), in its (norm, coords)
+    order, that are independent of those taken before, with their squared norms."""
+    rows: list[list[int]] = []
+    chosen = [(q2, v) for q2, v in short_vectors(lat.gram, bound2) if oracle_extends_rank(rows, v)]
+    return chosen[: lat.rank]
+
+
+def cartan(n: int, edges) -> GramLattice:
+    """The Cartan matrix of a simply laced Dynkin diagram: 2 on the diagonal, -1 on each edge."""
+    rows = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        rows[i][j] = rows[j][i] = -1
+    return GramLattice.from_rows(rows)
+
+
+ROOT_LATTICES = {
+    **{f"A{n}": cartan(n, [(i, i + 1) for i in range(n - 1)]) for n in range(2, 7)},
+    "D4": cartan(4, [(0, 1), (1, 2), (1, 3)]),
+    "E6": cartan(6, [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]),
+}
+
+
 def pair(lat: GramLattice, v, w) -> int:
     g = lat.gram
     return sum(v[i] * g[i][j] * w[j] for i in range(lat.rank) for j in range(lat.rank))
@@ -401,6 +451,32 @@ class TestMinorsKernel:
         assert lattice._minors([[1, 0, 2], [0, 1, 3]], 3) == [1, 3, -2]
         assert lattice._adjugate([[7]]) == [[1]]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_decomposable_matches_the_wedge_rank_oracle(self, data):
+        # planted wedges of p vectors, sums of two of them, and free draws; the chart test
+        # agrees with the rank of v -> v ^ omega on every nonzero omega, p = 1 and p = n too
+        n = data.draw(st.integers(min_value=2, max_value=6))
+        p = data.draw(st.integers(min_value=1, max_value=n))
+        entries = st.integers(min_value=-3, max_value=3)
+        subsets = list(combinations(range(n), p))
+
+        def planted():
+            rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=p, max_size=p))
+            return [int_det([[r[c] for c in cols] for r in rows]) for cols in subsets]
+
+        kind = data.draw(st.sampled_from(["wedge", "sum", "free"]))
+        if kind == "wedge":
+            omega = planted()
+        elif kind == "sum":
+            omega = [a + b for a, b in zip(planted(), planted())]
+        else:
+            omega = data.draw(st.lists(entries, min_size=len(subsets), max_size=len(subsets)))
+        assume(any(omega))
+        assert lattice._decomposable(omega, n, p) == (oracle_wedge_rank(omega, n, p) == n - p)
+        if kind == "wedge":
+            assert lattice._decomposable(omega, n, p)
+
 
 class TestSuccessiveMinima:
     def test_named_examples(self):
@@ -447,6 +523,26 @@ class TestSuccessiveMinima:
         assert time.perf_counter() - t0 < 2.0
         assert prof.sq_minima == (1, 4, 4, 4)
         assert prof.sq_minima == brute_minima(adj, bound2=4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_witnesses_match_the_greedy_oracle(self, data):
+        # greedy independence over the whole sorted list up to the last minimum, with an
+        # echelon oracle, picks the same witnesses as the wedge test under the radius schedule
+        rank = data.draw(st.integers(min_value=2, max_value=6))
+        lat = data.draw(gram_lattices(rank, spread=data.draw(st.integers(min_value=1, max_value=2))))
+        prof = successive_minima(lat)
+        chosen = oracle_greedy_witnesses(lat, prof.sq_minima[-1])
+        assert prof.witnesses == tuple(v for _, v in chosen)
+        assert prof.sq_minima == tuple(q2 for q2, _ in chosen)
+
+    @pytest.mark.parametrize("name", sorted(ROOT_LATTICES))
+    def test_root_lattice_witnesses_match_the_greedy_oracle(self, name):
+        # every minimum of a root lattice is 2, so the witnesses are decided by ties alone
+        lat = ROOT_LATTICES[name]
+        prof = successive_minima(lat)
+        assert prof.sq_minima == (2,) * lat.rank
+        assert prof.witnesses == tuple(v for _, v in oracle_greedy_witnesses(lat, 2))
 
     def test_budget_exhaustion(self):
         rows = [[1 if i == j else 0 for j in range(6)] for i in range(6)]
@@ -567,9 +663,9 @@ class TestSublatticeHeights:
             omega = data.draw(st.lists(entries, min_size=6, max_size=6))
         assume(any(omega))
         w01, w02, w03, w12, w13, w23 = omega
-        rank = lattice._wedge_rank(omega, 4, 2)
+        rank = oracle_wedge_rank(omega, 4, 2)
         assert rank in (2, 4)
-        assert (rank == 2) == (w01 * w23 - w02 * w13 + w03 * w12 == 0)
+        assert (rank == 2) == (w01 * w23 - w02 * w13 + w03 * w12 == 0) == lattice._decomposable(omega, 4, 2)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -578,13 +674,15 @@ class TestSublatticeHeights:
         # Lambda^(n-1) Z^n, so the compound search may take its first vector at p = n - 1
         n = data.draw(st.integers(min_value=2, max_value=6))
         omega = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n).filter(any))
-        assert lattice._wedge_rank(omega, n, n - 1) == 1
+        assert oracle_wedge_rank(omega, n, n - 1) == 1
+        assert lattice._decomposable(omega, n, n - 1)
 
     def test_non_decomposable_compound_vector_is_skipped(self, monkeypatch):
         # e0^e1 + e2^e3 planted first in C_2 of each rank-4 Gram must not count
         # as a sublattice; every middle height here exceeds its planted norm 1
         planted = (1, 0, 0, 0, 0, 1)
-        assert lattice._wedge_rank(planted, 4, 2) == 4
+        assert oracle_wedge_rank(planted, 4, 2) == 4
+        assert not lattice._decomposable(planted, 4, 2)
         real = lattice.short_vectors
         compound_calls = 0
 

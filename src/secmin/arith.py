@@ -10,6 +10,12 @@ above PRIME_TABLE_CAP is stored.  is_prime only reads the table: a query past
 its end goes to trial division.  A PrimePowerSieve holds bytes, immutable once
 built and safe to share across threads.
 
+Range scans read the prime-power table in order: prime_power_segments(N) sieves
+[0, N] one SEGMENT at a time with the base primes <= sqrt(N) (the segmented
+sieve of Bays and Hudson), so a scan holds one segment, never a table up to N.
+build_sieve keeps the full tables that point lookups need; a table above
+TABLE_CAP bytes raises ResourceLimitError before it is allocated.
+
 require_prime, the one prime validator, accepts only an int p that is prime and
 records the accepted object in _known_prime; kummer_valuation and carry_row skip
 it only when p is that object.  Only an accepted p is stored, in one assignment,
@@ -20,12 +26,18 @@ prime int, in any order or thread: an equal float is never the stored object.
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import compress, pairwise
 
 from .errors import ParameterError, ResourceLimitError
 
 # Largest n whose table primes_covering stores as the shared one (a 1 MiB bytearray).
 PRIME_TABLE_CAP = 1 << 20
+
+# Bytes per segment of a range scan's prime-power table.
+SEGMENT = 1 << 20
+
+# Largest full table, in bytes, that prime_table allocates; build_sieve holds two.
+TABLE_CAP = 1 << 27
 
 # The shared table: entry i is 1 iff i is prime.  Replaced whole, never edited.
 _table = bytearray()
@@ -144,8 +156,8 @@ def largest_undivided(n: int, cap: int, p: int) -> int:
 class PrimePowerSieve:
     """The primality table and is_prime_power, limit + 1 bytes: entry n is 1 iff
     n = p^k, p prime, k >= 1.  The largest prime power <= n is the last 1 at or
-    before n, one C-level bytes.rfind; range scans search the zero runs between
-    the 1s with bytes.find.  Immutable: bytes, and the primality table is never edited.
+    before n, one C-level bytes.rfind; range scans read it a window at a time.
+    Immutable: bytes, and the primality table is never edited.
     """
 
     __slots__ = ("limit", "_is_prime", "is_prime_power")
@@ -166,16 +178,20 @@ class PrimePowerSieve:
 
 
 def prime_table(limit: int) -> bytearray:
-    """Sieve of Eratosthenes over [0, limit], limit >= 1: entry i is 1 iff i is prime."""
-    try:
-        table = bytearray([1]) * (limit + 1)
-        table[0] = table[1] = 0
-        for p in range(2, math.isqrt(limit) + 1):
-            if table[p]:
-                start = p * p
-                table[start :: p] = bytearray(len(range(start, limit + 1, p)))
-    except MemoryError as exc:
-        raise ResourceLimitError(f"sieve limit {limit} exhausted memory") from exc
+    """Sieve of Eratosthenes over [0, limit], limit >= 1: entry i is 1 iff i is prime.
+
+    ResourceLimitError, before allocating, when the table would pass TABLE_CAP bytes.
+    """
+    if limit >= TABLE_CAP:
+        raise ResourceLimitError(
+            f"a sieve table to {limit} needs {limit + 1} bytes, above the {TABLE_CAP}-byte cap; lower --max"
+        )
+    table = bytearray([1]) * (limit + 1)
+    table[0] = table[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if table[p]:
+            start = p * p
+            table[start :: p] = bytearray(len(range(start, limit + 1, p)))
     return table
 
 
@@ -196,24 +212,58 @@ def primes_covering(n: int) -> bytearray:
     return t
 
 
+def _higher_powers(limit: int, primes) -> list[int]:
+    """The p^k <= limit with k >= 2 for the given primes, ascending."""
+    powers = []
+    for p in primes:
+        q = p * p
+        while q <= limit:
+            powers.append(q)
+            q *= p
+    return sorted(powers)
+
+
 def build_sieve(limit: int) -> PrimePowerSieve:
     """Build a PrimePowerSieve covering [1, limit]; limit >= 2.
 
     Its primality table is primes_covering(limit), so up to PRIME_TABLE_CAP
     the sieve and is_prime read the same table, which may run past limit.  The
-    prime-power table copies its first limit + 1 bytes and sets each p^k, k >= 2.
+    prime-power table is its first limit + 1 bytes with a 1 joined in at each
+    p^k, k >= 2: one copy, the table read through views.
     """
     if limit < 2:
         raise ParameterError(f"sieve limit must be >= 2, got {limit}")
     table = primes_covering(limit)
+    view = memoryview(table)
+    cuts = [-1, *_higher_powers(limit, compress(range(math.isqrt(limit) + 1), table)), limit + 1]
+    return PrimePowerSieve(limit, table, b"\x01".join(view[a + 1 : b] for a, b in pairwise(cuts)))
+
+
+def prime_power_segments(limit: int):
+    """build_sieve(limit).is_prime_power, in order, as bytearrays of at most SEGMENT bytes.
+
+    Each segment [lo, hi) starts all ones; each base prime p <= sqrt(limit) clears
+    its multiples from max(p^2, lo) on, one slice assignment, and the p^k with
+    k >= 2 inside it are set again.  Memory is one segment and the base primes.
+    """
+    if limit < 2:
+        raise ParameterError(f"sieve limit must be >= 2, got {limit}")
     root = math.isqrt(limit)
-    try:
-        powers = table[: limit + 1]
-        for p in compress(range(root + 1), table[: root + 1]):
-            q = p * p
-            while q <= limit:
-                powers[q] = 1
-                q *= p
-        return PrimePowerSieve(limit, table, bytes(powers))
-    except MemoryError as exc:
-        raise ResourceLimitError(f"sieve limit {limit} exhausted memory") from exc
+    base = list(compress(range(root + 1), primes_covering(root)))
+    powers = _higher_powers(limit, base)
+    j = 0
+    for lo in range(0, limit + 1, SEGMENT):
+        hi = min(lo + SEGMENT, limit + 1)
+        seg = bytearray([1]) * (hi - lo)
+        for p in base:
+            if p * p >= hi:
+                break
+            start = max(p * p, -(-lo // p) * p) - lo
+            if start < hi - lo:
+                seg[start::p] = bytearray((hi - lo - start - 1) // p + 1)
+        if lo == 0:
+            seg[0] = seg[1] = 0
+        while j < len(powers) and powers[j] < hi:
+            seg[powers[j] - lo] = 1
+            j += 1
+        yield seg

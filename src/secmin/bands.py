@@ -16,8 +16,11 @@ up to n.
 prime_divides_band reads the band's definition through a p-adic walk on small
 integers; the tests hold min_band and the walk to an exact bignum GCD scan.
 
-Range verifications read the sieve's prime-power byte table with C-level
-bytes.find/rfind; they are deterministic and embarrassingly parallel over n.
+Range verifications read the prime-power byte table in order, one window of
+at most WINDOW bytes at a time, with C-level bytes.find/rfind/split; across a
+window edge they carry the last prime power and the zero run since it.  The
+windows come from a PrimePowerSieve's table or, without one, from the segments
+of arith.prime_power_segments, so a scan to N holds one segment, not N bytes.
 """
 
 from __future__ import annotations
@@ -27,9 +30,14 @@ from collections import Counter
 from itertools import accumulate, compress, islice
 from operator import sub
 
-from .arith import PrimePowerSieve, build_sieve, is_prime, largest_undivided, primes_covering, require_prime
+from .arith import (
+    PrimePowerSieve, build_sieve, is_prime, largest_undivided, prime_power_segments, primes_covering, require_prime,
+)
 from .errors import ParameterError, VerificationError
 from .records import Record
+
+# Bytes per window of the range scans; each window is split into its zero runs on its own.
+WINDOW = 1 << 12
 
 
 class BandGapRecord(Record, fields="n gap witness_prime_power"):
@@ -154,36 +162,64 @@ def verify_band_gap_identity(range_hi: int) -> list[BandGapRecord]:
     return records
 
 
-def _covering_table(range_hi: int, sieve: PrimePowerSieve) -> bytes:
+def _segments(range_hi: int, sieve: PrimePowerSieve | None):
+    """The prime-power table over [0, range_hi] in pieces: the sieve's table whole, or
+    prime_power_segments(range_hi) when there is none.  A short sieve raises here."""
+    if sieve is None:
+        return prime_power_segments(range_hi)
     if sieve.limit < range_hi:
         raise ParameterError(f"sieve limit {sieve.limit} below range_hi {range_hi}")
-    return sieve.is_prime_power
+    return (sieve.is_prime_power,)
 
 
-def verify_quarter_bound(range_hi: int, sieve: PrimePowerSieve) -> bool:
+def _windows(range_hi: int, segments):
+    """(a, w) in order for the table over [2, range_hi]: w is the table over [a, a + len(w))
+    as bytes, cut at the multiples of WINDOW, which segment edges are too."""
+    lo = 0
+    for segment in segments:
+        view = memoryview(segment)
+        for a in range(lo, min(lo + len(view), range_hi + 1), WINDOW):
+            b = max(a, 2)
+            yield b, bytes(view[b - lo : min(a + WINDOW, range_hi + 1) - lo])
+        lo += len(view)
+
+
+def verify_quarter_bound(range_hi: int, sieve: PrimePowerSieve | None = None) -> bool:
     """True iff gap(n) <= n/4 for all 30 <= n <= range_hi.
 
-    Per block [lo, 2lo), k = lo//4: no run of k + 1 zeros in [lo - k, 2lo) (one
-    bytes.find) puts a prime power in each window [n - k, n], so gap(n) <= k <= n/4.
-    Where the search finds one, gap(n)/n = 1 - P/n rises along each stretch, so
-    the bound holds iff 4*(E - P) <= E at each E before a P and at the block's end.
+    gap(n)/n = 1 - P/n rises along each zero run after a prime power P, so the
+    bound holds iff 4*(E - P) <= E at each run's last n, E.  Windows are read in
+    order with the last prime power carried over, and the run a window opens
+    with is tested at its end.  Past it, n in a block [lo, 2lo) breaks the bound
+    only at the end of k + 1 zeros, k = lo//4: one bytes.find, skipped once k
+    reaches the window's length, and a block where it finds them has each run
+    end and its own end tested.
     """
     if range_hi < 30:
         raise ParameterError(f"quarter bound check needs range_hi >= 30, got {range_hi}")
-    t = _covering_table(range_hi, sieve)
-    for lo in (30 << j for j in range((range_hi // 30).bit_length())):
-        hi, k = min(2 * lo, range_hi + 1), lo // 4
-        if t.find(bytes(k + 1), lo - k, hi) >= 0:
-            ends = [q - 1 for q in compress(range(lo + 1, hi), t[lo + 1 : hi])] + [hi - 1]
-            if any(4 * (e - t.rfind(1, 0, e + 1)) > e for e in ends):
-                return False
-    return True
+    last = 2
+    for a, w in _windows(range_hi, _segments(range_hi, sieve)):
+        i = w.find(1)
+        if i < 0:
+            continue
+        if 4 * (a + i - 1 - last) > a + i - 1 >= 30:
+            return False
+        lo, b = max(a + i, 30), a + len(w)
+        while lo < b:  # the blocks [lo, 2lo) clipped to the window: one past the first window
+            hi, k = min(2 * lo, b), lo // 4
+            if k < len(w) and w.find(bytes(k + 1), max(lo - k - a, i), hi - a) >= 0:
+                ends = [j - 1 for j in compress(range(lo - a + 1, hi - a), w[lo - a + 1 : hi - a])] + [hi - a - 1]
+                if any(4 * (e - w.rfind(1, 0, e + 1)) > a + e for e in ends):
+                    return False
+            lo = hi
+        last = a + w.rfind(1)
+    return 4 * (range_hi - last) <= range_hi
 
 
 GROWTH_EXPONENTS = (0.535, 23 / 18)  # of the reference log and `secmin bands asymptotic`
 
 
-def asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve) -> GapSumReport:
+def asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve | None = None) -> GapSumReport:
     """Partial sums and pointwise maxima of the gap function, scaled by n^exponent.
 
     |exponent|*ln(range_hi) <= 708 keeps every n**exponent a normal float, and a
@@ -192,43 +228,81 @@ def asymptotic_report(range_hi: int, exponent: float, sieve: PrimePowerSieve) ->
     the sum adds w(w+1)/2 per run, counted by run length at C speed.  Its ratios
     are at most w/x**exponent, x <= P (x >= E below 0); a stretch whose bound is
     below the running maximum M by a relative 1e-9, far above rounding, cannot
-    reach M and is skipped: per block [lo, 2lo) of P by bytes.find (x = lo or
-    range_hi, M at its start), then per run (x = P or E).  The rest are scanned per n in
-    order with strict >, so the report is bit-identical to a scan of every n.
+    reach M and is skipped: per block [lo, 2lo) of P, cut at window edges, by
+    bytes.find (x = lo or range_hi, M at its start), then per run (x = P or E).
+    The rest are scanned per n in order with strict >, so the report is
+    bit-identical to a scan of every n.
     """
     return asymptotic_reports(range_hi, (exponent,), sieve)[0]
 
 
-def asymptotic_reports(range_hi: int, exponents, sieve: PrimePowerSieve) -> list[GapSumReport]:
-    """asymptotic_report for each exponent in turn, the partial sum computed once; the first bad one raises."""
+def _scan_run(best: list, exponent: float, p: int, lo: int, end: int) -> None:
+    """Raise best = [M, argmax] over n in [lo, end], a run after the prime power p."""
+    max_ratio = best[0]
+    for n in range(lo, end + 1):
+        r = (n - p) / n**exponent
+        if r > max_ratio:
+            max_ratio = r
+            best[:] = r, n
+
+
+def asymptotic_reports(range_hi: int, exponents, sieve: PrimePowerSieve | None = None) -> list[GapSumReport]:
+    """asymptotic_report for each exponent in turn, from one pass over the windows; the first bad one raises.
+
+    Each window is split into its zero runs on its own, so the pieces alive
+    never hold more than WINDOW bytes; a run cut by window edges is counted as
+    its pieces, and the sum gets back the cross terms, w(w+1)/2 for w = x + y
+    being x(x+1)/2 + y(y+1)/2 + xy.
+    """
     if range_hi < 2:
         raise ParameterError(f"range_hi must be >= 2, got {range_hi}")
-    t = _covering_table(range_hi, sieve)
-    total = sum(c * w * (w + 1) // 2 for w, c in Counter(map(len, t[2 : range_hi + 1].split(b"\x01"))).items())
+    windows = _windows(range_hi, _segments(range_hi, sieve))
+    scans, bad = [], None  # (e, [M, argmax]) from the scan of every n after n = 2, up to the first bad e
+    for e in exponents:
+        if not math.isfinite(e) or abs(e) * math.log(range_hi) > 708:
+            bad = e
+            break
+        scans.append((e, [0.0, 2]))
+    runs = Counter()  # zero-run length -> count, counting a run cut by a window edge as its pieces
+    joined = pending = 0  # the cross terms; the zeros just before the window
+    last = 2
+    for a, w in windows:
+        pieces = w.split(b"\x01")
+        runs.update(map(len, pieces))
+        i = len(pieces[0])  # the window opens with n in [a, a + i - 1], in the run after last
+        joined += pending * i
+        for e, best in scans:
+            # a stretch whose ratios stay below M by 1e-9 relative is skipped
+            if i and (a + i - 1 - last) / (last if e >= 0 else a + i - 1) ** e >= best[0] * (1 - 1e-9):
+                _scan_run(best, e, last, a, a + i - 1)
+            lo, b = a + i, a + len(w)
+            while lo < b:  # the blocks [lo, 2lo) clipped to the window
+                least = best[0] * (1 - 1e-9) * (lo if e >= 0 else range_hi) ** e
+                if not least < len(w):  # M and lo only grow: no later block has a run this long
+                    break
+                zeros = bytes(max(math.ceil(least), 1))
+                hi = min(2 * lo, b)
+                stop = hi - a + len(zeros)
+                j = w.find(zeros, lo - a + 1, stop)
+                while j >= 0:
+                    q = w.find(1, j)
+                    p, end = a + w.rfind(1, 0, j), a + (q if q >= 0 else len(w)) - 1
+                    if (end - p) / (p if e >= 0 else end) ** e >= best[0] * (1 - 1e-9):
+                        _scan_run(best, e, p, p, end)
+                    j = w.find(zeros, q + 1, stop) if q >= 0 else -1
+                lo = hi
+        if len(pieces) > 1:
+            pending = len(pieces[-1])
+            last = a + len(w) - 1 - pending
+        else:
+            pending += i
+    total = sum(c * r * (r + 1) // 2 for r, c in runs.items()) + joined
     reports = []
-    for exponent in exponents:
-        if not math.isfinite(exponent) or abs(exponent) * math.log(range_hi) > 708:
-            raise ParameterError(f"exponent {exponent!r} leaves n**exponent outside the float range up to n={range_hi}")
-        max_ratio, argmax = 0.0, 2  # the scan of every n after n = 2
-        for lo in (2 << j for j in range((range_hi // 2).bit_length())):
-            least = max_ratio * (1 - 1e-9) * (lo if exponent >= 0 else range_hi) ** exponent
-            if least > range_hi:  # before ceil: an inf M ends the loop and raises below
-                break  # M and lo only grow, so no later block has a run this long
-            zeros = bytes(max(math.ceil(least), 1))
-            stop = min(2 * lo + len(zeros), range_hi + 1)
-            i = t.find(zeros, lo + 1, stop)
-            while i >= 0:
-                p = t.rfind(1, 0, i)  # below lo for a run from the block before: seen again, to no effect
-                q = t.find(1, i, range_hi + 1)
-                end = q - 1 if q >= 0 else range_hi
-                if (end - p) / (p if exponent >= 0 else end) ** exponent >= max_ratio * (1 - 1e-9):
-                    for n in range(p, end + 1):
-                        r = (n - p) / n**exponent
-                        if r > max_ratio:
-                            max_ratio, argmax = r, n
-                i = t.find(zeros, end + 2, stop)
-        ratio = total / range_hi**exponent
+    for e, (max_ratio, argmax) in scans:
+        ratio = total / range_hi**e
         if not (math.isfinite(ratio) and math.isfinite(max_ratio)):
-            raise ParameterError(f"exponent {exponent!r} sends the ratios past the float range up to n={range_hi}")
-        reports.append(GapSumReport(range_hi, total, exponent, ratio, max_ratio, argmax))
+            raise ParameterError(f"exponent {e!r} sends the ratios past the float range up to n={range_hi}")
+        reports.append(GapSumReport(range_hi, total, e, ratio, max_ratio, argmax))
+    if bad is not None:
+        raise ParameterError(f"exponent {bad!r} leaves n**exponent outside the float range up to n={range_hi}")
     return reports

@@ -7,7 +7,7 @@ stderr and status=fail on stdout (with --json, one object naming the error's
 type and message).  Payload lines are byte-stable across runs; the trailing
 elapsed_ms line is excluded from the stable section.  A command returns its
 records and status, and may add timing fields that end the elapsed_ms line
-(verify-all: sieve_ms and <check>_ms); --json gives the line as "timing", last.
+(verify-all: <check>_ms); --json gives the line as "timing", last.
 
 parse_args reads argv against one table, COMMANDS, with argparse's grammar
 less two forms: flags are spelled in full (no prefix abbreviations), and there
@@ -77,7 +77,7 @@ def _check_reads(args, which: str, reads, needs=()) -> None:
 
 
 def cmd_bands(args) -> tuple[list[dict], str]:
-    from . import arith, bands
+    from . import bands
     reads = {"single": ("n",), "verify": ("max",), "asymptotic": ("max", "exponent")}[args.mode]
     _check_reads(args, args.mode, reads, needs=reads if args.mode == "single" else ())
     if args.mode == "single":
@@ -91,8 +91,7 @@ def cmd_bands(args) -> tuple[list[dict], str]:
             {"max": hi, "checked": len(records), "largest_gap": worst.gap, "at": worst.n}
         ], "pass"
     hi = args.max if args.max is not None else 10**6
-    sieve = arith.build_sieve(hi)
-    return [r.record() for r in bands.asymptotic_reports(hi, args.exponent or bands.GROWTH_EXPONENTS, sieve)], "report"
+    return [r.record() for r in bands.asymptotic_reports(hi, args.exponent or bands.GROWTH_EXPONENTS)], "report"
 
 
 def cmd_secant(args) -> tuple[list[dict], str]:
@@ -170,7 +169,7 @@ def cmd_verify_all(args) -> tuple[list[dict], str, dict]:
     from . import suite
     run = suite.run_all(quick=args.quick)
     records = [{"check": r.name, "status": "pass" if r.ok else "fail", "detail": r.detail} for r in run]
-    timing = {"sieve_ms": run.sieve_ms, **{f"{r.name}_ms": r.elapsed_ms for r in run}}
+    timing = {f"{r.name}_ms": r.elapsed_ms for r in run}
     return records, "pass" if all(r.ok for r in run) else "fail", timing
 
 

@@ -44,12 +44,6 @@ class CheckResult(Record, fields="name ok detail elapsed_ms"):
     __slots__ = ()
 
 
-class SuiteRun(list):
-    """run_all's checks in order, and sieve_ms, the time of the sieve they share."""
-
-    __slots__ = ("sieve_ms",)
-
-
 def _timed(name, fn) -> CheckResult:
     t0 = time.perf_counter()
     try:
@@ -82,7 +76,7 @@ def check_prime_power_vanishing(hi: int) -> str:
     return f"{count} prime powers <= {hi}, all with band 0"
 
 
-def check_quarter_bound(hi: int, sieve: arith.PrimePowerSieve) -> str:
+def check_quarter_bound(hi: int, sieve: arith.PrimePowerSieve | None = None) -> str:
     if not bands.verify_quarter_bound(hi, sieve):
         raise VerificationError(f"gap(n) > n/4 somewhere in [30, {hi}]")
     return f"gap(n) <= n/4 for 30 <= n <= {hi}"
@@ -255,21 +249,19 @@ def check_bound_consistency() -> str:
     return "extremal-height reduction and disc coefficient identities hold to 1e-9"
 
 
-def asymptotic_lines(hi: int, sieve: arith.PrimePowerSieve) -> list[str]:
+def asymptotic_lines(hi: int, sieve: arith.PrimePowerSieve | None = None) -> list[str]:
     """The committed reference format: one line per exponent, repr-formatted floats."""
     reports = bands.asymptotic_reports(hi, bands.GROWTH_EXPONENTS, sieve)
     return [" ".join(f"{key}={v!r}" for key, v in r.record().items()) for r in reports]
 
 
-def run_all(quick: bool = False) -> SuiteRun:
+def run_all(quick: bool = False) -> list[CheckResult]:
+    """Every check in order; quarter-bound and asymptotic-report stream their sieves."""
     p = {name: pair[quick] for name, pair in RANGES.items()}
-    t0 = time.perf_counter()
-    sieve = arith.build_sieve(max(p["quarter_hi"], p["asymptotic_hi"]))
-    sieve_ms = int(1000 * (time.perf_counter() - t0))
-    checks = [
+    return [
         _timed("band-gap-identity", lambda: check_band_gap_identity(p["identity_hi"])),
         _timed("prime-power-vanishing", lambda: check_prime_power_vanishing(p["prime_power_hi"])),
-        _timed("quarter-bound", lambda: check_quarter_bound(p["quarter_hi"], sieve)),
+        _timed("quarter-bound", lambda: check_quarter_bound(p["quarter_hi"])),
         _timed("valuation-two-oracle", lambda: check_kummer_legendre(p["kummer_hi"])),
         _timed("prime-band-identity", lambda: check_prime_band_identity(p["prime_band_hi"])),
         _timed("secant-two-oracle", lambda: check_secant_two_oracle(p["secant_g"], p["secant_d"], p["secant_m"])),
@@ -277,8 +269,5 @@ def run_all(quick: bool = False) -> SuiteRun:
         _timed("transference", lambda: check_transference(p["transference_count"])),
         _timed("avoidance", lambda: check_avoidance(p["avoidance_count"])),
         _timed("bound-consistency", check_bound_consistency),
-        _timed("asymptotic-report", lambda: "; ".join(asymptotic_lines(p["asymptotic_hi"], sieve))),
+        _timed("asymptotic-report", lambda: "; ".join(asymptotic_lines(p["asymptotic_hi"]))),
     ]
-    run = SuiteRun(checks)
-    run.sieve_ms = sieve_ms
-    return run

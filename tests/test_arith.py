@@ -4,6 +4,7 @@ import math
 import struct
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from itertools import compress
 
@@ -13,12 +14,15 @@ from hypothesis import example, given, settings, strategies as st
 from secmin import arith, bands, suite
 from secmin.arith import (
     PRIME_TABLE_CAP,
+    SEGMENT,
+    TABLE_CAP,
     binomial,
     build_sieve,
     carry_row,
     is_prime,
     kummer_valuation,
     largest_undivided,
+    prime_power_segments,
     prime_table,
     primes_covering,
 )
@@ -616,6 +620,21 @@ class TestSieve:
         with pytest.raises(ResourceLimitError):
             prime_table(2**62)
 
+    def test_full_table_above_the_cap_is_refused_before_allocating(self):
+        # the cap, not MemoryError or the OOM killer, stops a table too large to hold
+        message = (f"^a sieve table to {TABLE_CAP} needs {TABLE_CAP + 1} bytes, "
+                   f"above the {TABLE_CAP}-byte cap; lower --max$")
+        tracemalloc.start()
+        try:
+            for make in (prime_table, build_sieve, primes_covering):
+                with pytest.raises(ResourceLimitError, match=message):
+                    make(TABLE_CAP)
+            with pytest.raises(ResourceLimitError, match="10000000000"):
+                build_sieve(10**10)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
     def test_range_checks(self):
         s = build_sieve(50)
         with pytest.raises(ParameterError):
@@ -623,6 +642,40 @@ class TestSieve:
         with pytest.raises(ParameterError):
             s.largest_prime_power(0)
         assert s.largest_prime_power(1) == 0
+
+
+class TestPrimePowerSegments:
+    @pytest.mark.parametrize("limit", [2, 3, 10, 4096, SEGMENT - 1, SEGMENT, SEGMENT + 1, 3 * SEGMENT + 5])
+    def test_segments_join_to_the_full_table(self, limit):
+        segments = list(prime_power_segments(limit))
+        assert b"".join(segments) == build_sieve(limit).is_prime_power
+        assert [len(seg) for seg in segments[:-1]] == [SEGMENT] * (len(segments) - 1)
+        assert 0 < len(segments[-1]) <= SEGMENT
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=5000))
+    def test_matches_old_prime_powers(self, limit):
+        assert list(compress(range(limit + 1), b"".join(prime_power_segments(limit)))) == old_prime_powers(limit)
+
+    def test_sieves_only_to_the_root(self, monkeypatch):
+        # the base primes come from a table to sqrt(limit); each segment is sieved on its own
+        calls = []
+        prime_table_ = arith.prime_table
+
+        def counting(limit):
+            calls.append(limit)
+            return prime_table_(limit)
+
+        monkeypatch.setattr(arith, "_table", bytearray())
+        monkeypatch.setattr(arith, "prime_table", counting)
+        segments = prime_power_segments(2 * SEGMENT + 7)
+        assert calls == []  # a generator: nothing is sieved before the first segment is asked for
+        assert sum(seg.count(1) for seg in segments) == len(old_prime_powers(2 * SEGMENT + 7))
+        assert calls == [math.isqrt(2 * SEGMENT + 7)]
+
+    def test_rejects_small_limit(self):
+        with pytest.raises(ParameterError):
+            next(prime_power_segments(1))
 
 
 class TestRational:

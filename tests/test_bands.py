@@ -3,7 +3,7 @@ identities, reports."""
 
 import math
 from bisect import bisect_right
-from itertools import compress
+from itertools import accumulate, compress
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +19,8 @@ from secmin.arith import (
     primes_covering,
 )
 from secmin.bands import (
+    GROWTH_EXPONENTS,
+    WINDOW,
     GapSumReport,
     asymptotic_report,
     asymptotic_reports,
@@ -627,6 +629,150 @@ class TestStretchScans:
         assert verify_quarter_bound(1329, damaged)
         assert not verify_quarter_bound(1330, damaged)
         assert damaged.largest_prime_power(1408) == 997
+
+
+def assert_windowed_scans_match(range_hi: int, exponents, sieve: PrimePowerSieve, scan: bool = True) -> None:
+    """Both windowed scans, streamed and from the sieve, against the stretch oracles
+    and, with scan, the scans of every n; floats as exact bit patterns."""
+    pp = listed_prime_powers(sieve)
+    want = [bits(stretch_asymptotic_report(range_hi, e, pp)) for e in exponents]
+    if scan:
+        assert want == [bits(scan_asymptotic_report(range_hi, e, pp)) for e in exponents]
+    assert [bits(r) for r in asymptotic_reports(range_hi, exponents, sieve)] == want
+    assert [bits(r) for r in asymptotic_reports(range_hi, exponents)] == want
+    if range_hi >= 30:
+        holds = stretch_quarter_bound(range_hi, pp)
+        assert not scan or holds == (scan_quarter_bound(range_hi, pp) is None)
+        assert verify_quarter_bound(range_hi, sieve) == verify_quarter_bound(range_hi) == holds
+
+
+WINDOW_EDGES = [k * WINDOW + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+
+
+class TestWindowedScans:
+    """The scans read the table a window at a time, carrying the last prime power and
+    the zero run since it over each edge; ranges that end at, before and after an edge."""
+
+    @pytest.mark.parametrize("range_hi", WINDOW_EDGES)
+    def test_window_edges(self, range_hi):
+        assert_windowed_scans_match(range_hi, [0.535, 23 / 18, 0.0, -0.5, 3.0, -3.0], build_sieve(range_hi))
+
+    def test_segment_edges(self):
+        # the streamed table has one segment below 2^20 and two from 2^20 on, the
+        # second holding 2^20 alone at first; the scans of every n run at 2^20 only
+        sieve = build_sieve(2**20 + 1)
+        for range_hi in (2**20 - 1, 2**20, 2**20 + 1):
+            assert_windowed_scans_match(range_hi, [0.535, -0.5], sieve, scan=range_hi == 2**20)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(min_value=WINDOW - 2, max_value=6 * WINDOW + 2),
+        st.lists(st.one_of(st.sampled_from(REPORT_EXPONENTS), st.floats(min_value=-3, max_value=3)),
+                 min_size=1, max_size=3),
+    )
+    def test_ranges_over_several_windows(self, range_hi, exponents):
+        assert_windowed_scans_match(range_hi, exponents, build_sieve(range_hi))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=2 * WINDOW)),
+                 max_size=60),
+        st.integers(min_value=30, max_value=4 * WINDOW + 1),
+        st.one_of(st.sampled_from(REPORT_EXPONENTS), st.floats(min_value=-3, max_value=3)),
+    )
+    @example([WINDOW // 2, 2 * WINDOW], 4 * WINDOW, 0.535)  # a run over a whole window, then to range_hi
+    @example([WINDOW // 2, 2 * WINDOW], 4 * WINDOW, -0.5)
+    @example([1] * 27 + [WINDOW - 31, 1500], 2 * WINDOW, 1.0)  # a run from WINDOW - 2 over the edge
+    @example(list(range(1, 40)), 3 * WINDOW, 0.535)  # zeros from 783 on: the quarter bound fails at 1043
+    def test_staircases_over_windows(self, gaps, range_hi, exponent):
+        # tables with 2 set and any zero runs, up to runs longer than a window
+        points = set(accumulate([2, *gaps]))
+        sieve = PrimePowerSieve(range_hi, bytearray(range_hi + 1), power_table(range_hi, points))
+        assert_report_matches_scan(range_hi, exponent, sieve)
+        first_bad = assert_quarter_bound_matches_scans(range_hi, sieve)
+        if first_bad is not None:
+            assert not verify_quarter_bound(first_bad, sieve)
+            assert first_bad == 30 or verify_quarter_bound(first_bad - 1, sieve)
+
+    @pytest.mark.parametrize("p, first_bad", [(3071, 4095), (3072, 4097), (3907, 5210)])
+    def test_quarter_bound_fails_next_to_a_window_edge(self, p, first_bad):
+        # the prime powers up to p, then p and no more: n - p > n/4 first at first_bad,
+        # the last n of the first window, the second n of the next, or past its start
+        pp = sorted({*listed_prime_powers(build_sieve(p)), p})
+        sieve = PrimePowerSieve(2 * WINDOW, bytearray(2 * WINDOW + 1), power_table(2 * WINDOW, pp))
+        assert scan_quarter_bound(2 * WINDOW, pp) == first_bad
+        assert verify_quarter_bound(first_bad - 1, sieve)
+        for range_hi in (first_bad, 2 * WINDOW):
+            assert not verify_quarter_bound(range_hi, sieve)
+
+    @pytest.mark.parametrize("kept, first_bad", [
+        # 8 = k + 1 zeros, k = 30//4, end at the first n of the block [30, 60)
+        (lambda pp: [*range(2, 23), *range(31, 2 * WINDOW)], 30),
+        # a run that ends at the last n of the block [60, 120): 4*(119 - 89) > 119
+        (lambda pp: [*range(2, 90), *range(120, 2 * WINDOW)], 119),
+        # 3072 in place of the prime powers in (3067, 4200): the run from 3073 breaks
+        # the bound only past the window edge, in the run the second window opens with
+        (lambda pp: sorted({3072, *(q for q in pp if not 3067 < q < 4200)}), 4097),
+    ])
+    def test_quarter_bound_fails_where_one_test_sees_it(self, kept, first_bad):
+        pp = kept(listed_prime_powers(build_sieve(2 * WINDOW)))
+        sieve = PrimePowerSieve(2 * WINDOW, bytearray(2 * WINDOW + 1), power_table(2 * WINDOW, pp))
+        assert assert_quarter_bound_matches_scans(2 * WINDOW, sieve) == first_bad
+        assert not verify_quarter_bound(first_bad, sieve)
+        assert first_bad == 30 or verify_quarter_bound(first_bad - 1, sieve)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=700), st.integers(min_value=1, max_value=200))
+    def test_dropped_prime_powers_over_windows(self, start, count):
+        # the prime powers to 4 windows less a stretch of them: the scans fail at the same n
+        full = build_sieve(4 * WINDOW)
+        pp = listed_prime_powers(full)
+        damaged = PrimePowerSieve(4 * WINDOW, full._is_prime, power_table(4 * WINDOW, pp[:start] + pp[start + count :]))
+        first_bad = assert_quarter_bound_matches_scans(4 * WINDOW, damaged)
+        if first_bad is not None:
+            assert not verify_quarter_bound(first_bad, damaged)
+            assert first_bad == 30 or verify_quarter_bound(first_bad - 1, damaged)
+        for exponent in (0.535, -0.5):
+            assert_report_matches_scan(4 * WINDOW, exponent, damaged)
+
+    def test_a_run_over_a_window_edge_beats_the_maximum_by_a_hair(self):
+        # two runs of 10 zeros, after 40 and after 4090 (over the edge at 4096): at
+        # exponent -1e-7 the later one beats the first by 4.4e-7 relative, in the
+        # part that the second window opens with
+        points = set(range(2, 2 * WINDOW + 1)) - set(range(41, 51)) - set(range(4091, 4101))
+        sieve = PrimePowerSieve(2 * WINDOW, bytearray(2 * WINDOW + 1), power_table(2 * WINDOW, points))
+        assert_report_matches_scan(2 * WINDOW, -1e-7, sieve)
+        assert asymptotic_report(2 * WINDOW, -1e-7, sieve).argmax == 4100
+
+    @pytest.mark.parametrize("range_hi", [2, 3, 29, 30, *WINDOW_EDGES, 2**20 + 5])
+    def test_windows_tile_the_range(self, range_hi):
+        # at most WINDOW bytes, cut at multiples of WINDOW, from 2 to range_hi, the same from either source
+        table = build_sieve(range_hi).is_prime_power
+        for segments in (bands._segments(range_hi, None), bands._segments(range_hi, build_sieve(range_hi))):
+            windows = list(bands._windows(range_hi, segments))
+            starts = [a for a, _ in windows]
+            assert starts == [2, *range(WINDOW, range_hi + 1, WINDOW)]
+            assert all(type(w) is bytes and 0 < len(w) <= WINDOW for _, w in windows)
+            assert b"".join(w for _, w in windows) == table[2:]
+
+    def test_streamed_scans_build_no_full_table(self, monkeypatch):
+        want = asymptotic_reports(3 * 2**20, GROWTH_EXPONENTS, build_sieve(3 * 2**20))
+
+        def forbidden(limit):
+            raise AssertionError(f"a scan built a full table to {limit}")
+
+        prime_table = arith.prime_table
+
+        def small_only(limit):
+            if limit > 2**11:
+                raise AssertionError(f"a scan sieved a table to {limit}")
+            return prime_table(limit)
+
+        monkeypatch.setattr(arith, "build_sieve", forbidden)
+        monkeypatch.setattr(arith, "_table", bytearray())
+        monkeypatch.setattr(arith, "prime_table", small_only)
+        assert [bits(r) for r in asymptotic_reports(3 * 2**20, GROWTH_EXPONENTS)] == [bits(r) for r in want]
+        assert verify_quarter_bound(3 * 2**20)
 
 
 class TestAsymptoticReport:

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,34 @@ class TestBandsCommands:
         code, out = run(capsys, "bands", "asymptotic", "--max", "100000")
         assert code == 0
         assert out.splitlines()[:-2] == suite.asymptotic_lines(10**5, arith.build_sieve(10**5))
+
+    def test_verify_beyond_the_table_cap_exits_2_at_once(self, capsys):
+        # refused before any table is allocated, naming the cap and the flag
+        t0 = time.perf_counter()
+        code = cli.main(["bands", "verify", "--max", "10000000000"])
+        captured = capsys.readouterr()
+        assert code == 2 and time.perf_counter() - t0 < 1.0
+        assert captured.out == "status=fail\n"
+        assert captured.err == (f"error=a sieve table to 10000000000 needs 10000000001 bytes, "
+                                f"above the {arith.TABLE_CAP}-byte cap; lower --max\n")
+
+    def test_asymptotic_streams_without_a_full_table(self, capsys, monkeypatch):
+        # bands asymptotic sieves in segments: no build_sieve, no table past sqrt(max)
+        from secmin import suite
+
+        want = suite.asymptotic_lines(2 * 10**6, arith.build_sieve(2 * 10**6))
+        prime_table = arith.prime_table
+
+        def small_only(limit):
+            if limit > 2000:
+                raise AssertionError(f"bands asymptotic sieved a table to {limit}")
+            return prime_table(limit)
+
+        monkeypatch.setattr(arith, "build_sieve", None)
+        monkeypatch.setattr(arith, "_table", bytearray())
+        monkeypatch.setattr(arith, "prime_table", small_only)
+        code, out = run(capsys, "bands", "asymptotic", "--max", str(2 * 10**6))
+        assert code == 0 and out.splitlines()[:-2] == want
 
     @pytest.mark.parametrize(
         "hi, exponent", [("1000", "-200"), ("100000", "80"), ("1000", "inf"), ("1000", "nan")]
@@ -473,7 +502,7 @@ class TestContract:
         lines = out.splitlines()
         names = [ln.split()[0].removeprefix("check=") for ln in lines if ln.startswith("check=")]
         timing = {k: int(v) for k, v in parse_kv(lines[-1]).items()}
-        assert list(timing) == ["elapsed_ms", "import_ms", "sieve_ms"] + [f"{name}_ms" for name in names]
+        assert list(timing) == ["elapsed_ms", "import_ms"] + [f"{name}_ms" for name in names]
         assert all(v >= 0 for v in timing.values())
         assert sum(timing.values()) - timing["elapsed_ms"] <= timing["elapsed_ms"]
 

@@ -14,7 +14,7 @@ Range scans read the prime-power table in order: prime_power_segments(N) sieves
 [0, N] one SEGMENT at a time with the base primes <= sqrt(N) (the segmented
 sieve of Bays and Hudson), so a scan holds one segment, never a table up to N.
 build_sieve keeps the full tables that point lookups need; a table above
-TABLE_CAP bytes raises ResourceLimitError before it is allocated.
+TABLE_CAP bytes raises ResourceLimitError (require_table) before it is allocated.
 
 require_prime, the one prime validator, accepts only an int p that is prime and
 records the accepted object in _known_prime; kummer_valuation and carry_row skip
@@ -177,15 +177,20 @@ class PrimePowerSieve:
         return list(compress(range(self.limit + 1), self._is_prime))
 
 
+def require_table(limit: int) -> None:
+    """ResourceLimitError unless a table over [0, limit] fits in TABLE_CAP bytes."""
+    if limit >= TABLE_CAP:
+        raise ResourceLimitError(
+            f"a sieve table to {limit} needs {limit + 1} bytes, above the {TABLE_CAP}-byte cap; lower --max"
+        )
+
+
 def prime_table(limit: int) -> bytearray:
     """Sieve of Eratosthenes over [0, limit], limit >= 1: entry i is 1 iff i is prime.
 
     ResourceLimitError, before allocating, when the table would pass TABLE_CAP bytes.
     """
-    if limit >= TABLE_CAP:
-        raise ResourceLimitError(
-            f"a sieve table to {limit} needs {limit + 1} bytes, above the {TABLE_CAP}-byte cap; lower --max"
-        )
+    require_table(limit)
     table = bytearray([1]) * (limit + 1)
     table[0] = table[1] = 0
     for p in range(2, math.isqrt(limit) + 1):

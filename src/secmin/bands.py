@@ -19,8 +19,8 @@ integers; the tests hold min_band and the walk to an exact bignum GCD scan.
 Range verifications read the prime-power byte table in order, one window of
 at most WINDOW bytes at a time, with C-level bytes.find/rfind/split; across a
 window edge they carry the last prime power and the zero run since it.  The
-windows come from a PrimePowerSieve's table or, without one, from the segments
-of arith.prime_power_segments, so a scan to N holds one segment, not N bytes.
+windows come from the segments of arith.prime_power_segments (or a given
+sieve's table), so a scan to N holds one segment, not N bytes or N records.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from itertools import accumulate, compress, islice
 from operator import sub
 
 from .arith import (
-    PrimePowerSieve, build_sieve, is_prime, largest_undivided, prime_power_segments, primes_covering, require_prime,
+    PRIME_TABLE_CAP, PrimePowerSieve, is_prime, largest_undivided, prime_power_segments, primes_covering,
+    require_prime, require_table,
 )
 from .errors import ParameterError, VerificationError
 from .records import Record
@@ -145,23 +146,6 @@ def prime_band(n: int, p: int) -> int:
     return largest_undivided(n, cap, p)
 
 
-def verify_band_gap_identity(range_hi: int) -> list[BandGapRecord]:
-    """Check min_band(n) == gap(n) for every 2 <= n <= range_hi and return the records.
-
-    Raises VerificationError on any mismatch, which would mean a bug here, not
-    new mathematics.
-    """
-    if range_hi < 2:
-        raise ParameterError(f"range_hi must be >= 2, got {range_hi}")
-    sieve = build_sieve(range_hi)  # up to PRIME_TABLE_CAP, min_band reads its table too
-    records = [prime_power_gap(n, sieve) for n in range(2, range_hi + 1)]
-    for r in records:
-        b = min_band(r.n)
-        if b != r.gap:
-            raise VerificationError(f"band/gap identity fails at n={r.n}: band={b}, gap={r.gap}")
-    return records
-
-
 def _segments(range_hi: int, sieve: PrimePowerSieve | None):
     """The prime-power table over [0, range_hi] in pieces: the sieve's table whole, or
     prime_power_segments(range_hi) when there is none.  A short sieve raises here."""
@@ -182,6 +166,29 @@ def _windows(range_hi: int, segments):
             b = max(a, 2)
             yield b, bytes(view[b - lo : min(a + WINDOW, range_hi + 1) - lo])
         lo += len(view)
+
+
+def verify_band_gap_identity(range_hi: int) -> BandGapRecord:
+    """Check min_band(n) == gap(n), n minus the last prime power in the windows, for every
+    2 <= n <= range_hi; return the record of the first n with the largest gap.  The table
+    cap bounds range_hi, and so the min_band calls, before any work.  A mismatch raises
+    VerificationError: it would mean a bug here, not new mathematics.
+    """
+    if range_hi < 2:
+        raise ParameterError(f"range_hi must be >= 2, got {range_hi}")
+    require_table(range_hi)
+    primes_covering(min(range_hi, PRIME_TABLE_CAP))  # the shared table, which min_band reads
+    worst, last = BandGapRecord(2, 0, 2), 0
+    for a, w in _windows(range_hi, prime_power_segments(range_hi)):
+        for n, is_power in enumerate(w, a):
+            if is_power:
+                last = n
+            b = min_band(n)
+            if b != n - last:
+                raise VerificationError(f"band/gap identity fails at n={n}: band={b}, gap={n - last}")
+            if b > worst.gap:
+                worst = BandGapRecord(n, b, last)
+    return worst
 
 
 def verify_quarter_bound(range_hi: int, sieve: PrimePowerSieve | None = None) -> bool:

@@ -85,11 +85,8 @@ def cmd_bands(args) -> tuple[list[dict], str]:
         return [{"n": args.n, "band": b, "gap": b, "witness": args.n - b}], "pass"
     if args.mode == "verify":
         hi = args.max if args.max is not None else 3000
-        records = bands.verify_band_gap_identity(hi)
-        worst = max(records, key=lambda r: r.gap)
-        return [
-            {"max": hi, "checked": len(records), "largest_gap": worst.gap, "at": worst.n}
-        ], "pass"
+        worst = bands.verify_band_gap_identity(hi)
+        return [{"max": hi, "checked": hi - 1, "largest_gap": worst.gap, "at": worst.n}], "pass"
     hi = args.max if args.max is not None else 10**6
     return [r.record() for r in bands.asymptotic_reports(hi, args.exponent or bands.GROWTH_EXPONENTS)], "report"
 

@@ -193,10 +193,11 @@ class TransferenceReport(Record, fields="lattice constant rows"):
         return all(r.printed_ok for r in self.rows)
 
 
-def short_vectors(gram, bound2: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, tuple[int, ...]]]:
-    """All nonzero v with v.G.v <= bound2, one of each +-pair, sorted by (norm^2, coords).
+def short_vectors(lam, bound2: int, budget: int = DEFAULT_BUDGET) -> list[tuple[int, tuple[int, ...]]]:
+    """All nonzero v with v.G.v <= bound2, one of each +-pair, sorted by (norm^2, coords),
+    for the positive-definite G whose Bareiss entries are lam = _echelon(G).
 
-    Depth-first descent on integer Bareiss pivots of the positive-definite G.
+    Depth-first descent on integer Bareiss pivots, shared by every radius tried on G.
     With D_k its leading principal minors and lam[i][j] the Bareiss entries
     of row i (lam[i][i] = D_(i+1)),
         v.G.v = sum_i (D_(i+1) v_i + N_i)^2 / (D_i D_(i+1)),  N_i = sum_(j>i) lam[i][j] v_j,
@@ -207,11 +208,6 @@ def short_vectors(gram, bound2: int, budget: int = DEFAULT_BUDGET) -> list[tuple
     nonzero coordinate positive and reports each vector with its first
     nonzero coordinate positive.  Raises when the step budget is exceeded.
     """
-    return _short_vectors(_echelon(gram), bound2, budget)
-
-
-def _short_vectors(lam, bound2: int, budget: int) -> list[tuple[int, tuple[int, ...]]]:
-    """short_vectors on the Bareiss entries lam = _echelon(G), shared by every radius tried on G."""
     n = len(lam)
     if bound2 < 0:
         return []
@@ -276,7 +272,7 @@ def successive_minima(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> MinimaP
     while True:
         chosen: list[tuple[int, tuple[int, ...]]] = []
         omega = [1]  # the wedge of the chosen witnesses
-        for q2, v in _short_vectors(lat.echelon, bound2, budget):
+        for q2, v in short_vectors(lat.echelon, bound2, budget):
             wider = _wedge(v, omega, n, len(chosen))
             if any(wider):
                 omega = wider
@@ -361,7 +357,7 @@ def _min_primitive_covol2(lat: GramLattice, p: int, minima: MinimaProfile, budge
     omega = [x // g for x in omega]
     compound = _compound(lat.gram, p)
     u = sum(a * c * b for a, row in zip(omega, compound) for c, b in zip(row, omega))
-    for q2, w in short_vectors(compound, u, budget):
+    for q2, w in short_vectors(_echelon(compound), u, budget):
         if p == n - 1 or _decomposable(w, n, p):
             return q2
     raise VerificationError(f"no decomposable vector of C_{p}({lat.gram}) within its witnesses' norm {u}")
@@ -398,14 +394,6 @@ def sublattice_heights(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> Sublat
     covol2 = _min_covol2(successive_minima(lat, budget), budget)
     from fractions import Fraction
     return SublatticeHeightTable(lat, tuple(map(Fraction, covol2)), tuple(0.5 * math.log(c) for c in covol2))
-
-
-def dual_heights(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> tuple[tuple[Fraction, ...], tuple[float, ...]]:
-    """Exact squared covolumes of minimal primitive sublattices of the dual, built from the
-    reduced int pairs of _dual_covol2, and their half-logs."""
-    from fractions import Fraction
-    pairs, logs = _dual_covol2(successive_minima(lat, budget), budget)
-    return tuple(Fraction(a, b) for a, b in pairs), logs
 
 
 def verify_transference(lat: GramLattice, budget: int = DEFAULT_BUDGET) -> TransferenceReport:

@@ -12,7 +12,7 @@ import math
 import random
 import struct
 import time
-from itertools import product
+from itertools import compress, product
 
 from . import arith, bands, bounds, lattice, secant
 from .errors import ParameterError, VerificationError
@@ -57,8 +57,7 @@ def _timed(name, fn) -> CheckResult:
 
 
 def check_band_gap_identity(hi: int) -> str:
-    records = bands.verify_band_gap_identity(hi)
-    worst = max(records, key=lambda r: r.gap)
+    worst = bands.verify_band_gap_identity(hi)
     return f"n=2..{hi} all band==gap; largest gap {worst.gap} at n={worst.n}"
 
 
@@ -66,7 +65,7 @@ def check_prime_power_vanishing(hi: int) -> str:
     """The definition at each prime power q = p^k: the binomials C(q, m), 0 < m < q, share a divisor.
     p divides them all (a p-adic walk); if it did not, their gcd would be 1, as C(q, 1) = q."""
     count = 0
-    for p in arith.build_sieve(hi).primes():
+    for p in compress(range(hi + 1), arith.primes_covering(hi)):
         q = p
         while q <= hi:
             if not bands.prime_divides_band(q, 0, p):
@@ -92,10 +91,9 @@ def check_kummer_legendre(hi: int) -> str:
     """
     if hi >= 1 << 16:
         raise ParameterError(f"valuation check packs 16-bit lanes, needs hi < 65536, got {hi}")
-    sieve = arith.build_sieve(hi)
     ones = int.from_bytes(b"\x01\x00" * (hi + 1), "little")
     checked = 0
-    for p in sieve.primes():
+    for p in compress(range(hi + 1), arith.primes_covering(hi)):
         fact_val = [0] * (hi + 1)  # fact_val[n] = v_p(n!) = sum of n // p^i over i >= 1
         q = p
         while q <= hi:
@@ -118,7 +116,7 @@ def check_kummer_legendre(hi: int) -> str:
 def check_prime_band_identity(hi: int) -> str:
     """prime_band(n, p) == n - q for each prime power q = p^k and q <= n < 2q (leading digit 1)."""
     checked = 0
-    for p in arith.build_sieve(hi).primes():
+    for p in compress(range(hi + 1), arith.primes_covering(hi)):
         q = p
         while q <= hi:
             top = min(2 * q - 1, hi)
@@ -256,7 +254,7 @@ def asymptotic_lines(hi: int, sieve: arith.PrimePowerSieve | None = None) -> lis
 
 
 def run_all(quick: bool = False) -> list[CheckResult]:
-    """Every check in order; quarter-bound and asymptotic-report stream their sieves."""
+    """Every check in order; band-gap-identity, quarter-bound and asymptotic-report stream the prime-power table."""
     p = {name: pair[quick] for name, pair in RANGES.items()}
     return [
         _timed("band-gap-identity", lambda: check_band_gap_identity(p["identity_hi"])),

@@ -2,6 +2,7 @@
 identities, reports."""
 
 import math
+import tracemalloc
 from bisect import bisect_right
 from itertools import accumulate, compress
 
@@ -21,6 +22,7 @@ from secmin.arith import (
 from secmin.bands import (
     GROWTH_EXPONENTS,
     WINDOW,
+    BandGapRecord,
     GapSumReport,
     asymptotic_report,
     asymptotic_reports,
@@ -31,7 +33,7 @@ from secmin.bands import (
     verify_band_gap_identity,
     verify_quarter_bound,
 )
-from secmin.errors import ParameterError, VerificationError
+from secmin.errors import ParameterError, ResourceLimitError, VerificationError
 
 
 def gcd_of_row_band(n: int, b: int) -> int:
@@ -483,18 +485,22 @@ class TestPrimeBand:
                     prime_band(n, p)
 
 
+def identity_oracle(range_hi: int) -> BandGapRecord:
+    """Test oracle, the former per-n records: the record of the first n <= range_hi with the
+    largest gap, read from a full sieve."""
+    sieve = build_sieve(range_hi)
+    return max((prime_power_gap(n, sieve) for n in range(2, range_hi + 1)), key=lambda r: r.gap)
+
+
 class TestVerifiers:
     def test_identity_range_100(self):
-        records = verify_band_gap_identity(100)
-        assert len(records) == 99
-        assert all(min_band(r.n) == r.gap for r in records)
+        assert verify_band_gap_identity(100) == BandGapRecord(96, 7, 89) == identity_oracle(100)
 
     def test_identity_range_2(self):
-        records = verify_band_gap_identity(2)
-        assert len(records) == 1 and records[0].gap == 0
+        assert verify_band_gap_identity(2) == BandGapRecord(2, 0, 2)
 
     def test_identity_sieves_once(self, monkeypatch):
-        # build_sieve fills the shared table, so min_band's reads need no second sieve
+        # the identity fills the shared table first, so min_band's reads need no second sieve
         prime_table = arith.prime_table
         limits = []
 
@@ -508,8 +514,67 @@ class TestVerifiers:
         assert limits == [3000]
 
     def test_small_range_explicit(self):
-        for r in verify_band_gap_identity(30):
-            assert r.gap <= max(r.n // 4, 1)
+        verify_band_gap_identity(30)
+        sieve = build_sieve(30)
+        for n in range(2, 31):
+            assert prime_power_gap(n, sieve).gap <= max(n // 4, 1)
+
+    @pytest.mark.parametrize("range_hi", [2, 3, *(k * 16 + d for k in (1, 2, 4, 8, 13, 16) for d in (-1, 0, 1)), 1000])
+    def test_identity_over_small_windows_and_segments(self, monkeypatch, range_hi):
+        # WINDOW = 16 and SEGMENT = 4 * WINDOW: ranges either side of window and segment edges,
+        # and 13 * 16 = 208 inside the run 200..210 of the largest gap up to 256
+        monkeypatch.setattr(bands, "WINDOW", 16)
+        monkeypatch.setattr(arith, "SEGMENT", 64)
+        assert verify_band_gap_identity(range_hi) == identity_oracle(range_hi)
+
+    @pytest.mark.parametrize("dropped", [2, 16, 61, 64, 127, 128, 199, 211])
+    def test_a_dropped_prime_power_is_named(self, monkeypatch, dropped):
+        # a segment that misses the prime power q gives gap(q) > 0 = min_band(q)
+        segments = arith.prime_power_segments
+
+        def damaged(limit):
+            lo = 0
+            for seg in segments(limit):
+                if lo <= dropped < lo + len(seg):
+                    seg[dropped - lo] = 0
+                lo += len(seg)
+                yield seg
+
+        monkeypatch.setattr(bands, "WINDOW", 16)
+        monkeypatch.setattr(arith, "SEGMENT", 64)
+        monkeypatch.setattr(bands, "prime_power_segments", damaged)
+        with pytest.raises(VerificationError, match=rf"^band/gap identity fails at n={dropped}: band=0, gap=[1-9]"):
+            verify_band_gap_identity(300)
+
+    def test_identity_and_suite_build_no_full_table(self, monkeypatch):
+        want = identity_oracle(3000)
+
+        def forbidden(limit):
+            raise AssertionError(f"built a full table to {limit}")
+
+        monkeypatch.setattr(arith, "build_sieve", forbidden)
+        assert verify_band_gap_identity(3000) == want
+        assert all(r.ok for r in suite.run_all(quick=True))
+
+    def test_identity_memory_is_bounded(self):
+        # one segment and one record: the former list of 3 * 10^4 records peaked above 4 MB
+        tracemalloc.start()
+        try:
+            verify_band_gap_identity(3 * 10**4)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 19
+        finally:
+            tracemalloc.stop()
+
+    def test_identity_beyond_the_table_cap_is_refused_before_any_work(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("work done past the cap")
+
+        for name in ("primes_covering", "prime_power_segments", "min_band"):
+            monkeypatch.setattr(bands, name, forbidden)
+        with pytest.raises(ResourceLimitError, match=rf"^a sieve table to {arith.TABLE_CAP} needs "):
+            verify_band_gap_identity(arith.TABLE_CAP)
+        with pytest.raises(ParameterError):
+            verify_band_gap_identity(1)
 
     def test_quarter_bound_small(self):
         sieve = build_sieve(2000)

@@ -17,7 +17,6 @@ from secmin.lattice import (
     GramLattice,
     HomogeneousForm,
     avoid_hypersurface,
-    dual_heights,
     dual_lattice,
     evaluate_form,
     read_form,
@@ -144,10 +143,10 @@ def oracle_wedge_rank(omega, n: int, p: int) -> int:
 
 
 def oracle_greedy_witnesses(lat: GramLattice, bound2: int):
-    """Test oracle: the first rank-many vectors of short_vectors(G, bound2), in its (norm, coords)
+    """Test oracle: the first rank-many vectors of short_vectors(lat.echelon, bound2), in its (norm, coords)
     order, that are independent of those taken before, with their squared norms."""
     rows: list[list[int]] = []
-    chosen = [(q2, v) for q2, v in short_vectors(lat.gram, bound2) if oracle_extends_rank(rows, v)]
+    chosen = [(q2, v) for q2, v in short_vectors(lat.echelon, bound2) if oracle_extends_rank(rows, v)]
     return chosen[: lat.rank]
 
 
@@ -234,7 +233,7 @@ def subset_search_covol2(lat: GramLattice, p: int):
     best = saturated_covol2(lat, minima.witnesses[:p])
     factor2 = (4.0**p) * math.exp(-2 * ball_volume_log(p))
     r2 = math.ceil(factor2 * best / minima.sq_minima[0] ** (p - 1) * (1 + 1e-6))
-    vecs = short_vectors(lat.gram, r2)
+    vecs = short_vectors(lat.echelon, r2)
 
     def choose(start, chosen, prod):
         nonlocal best
@@ -333,22 +332,22 @@ class TestShortVectors:
         lat = data.draw(gram_lattices(rank, spread=4))
         bound2 = data.draw(st.integers(min_value=0, max_value=40))
         assume(math.prod(2 * h + 1 for h in box_half_widths(lat, bound2)) <= 200_000)
-        assert short_vectors(lat.gram, bound2) == box_vectors(lat, bound2)
+        assert short_vectors(lat.echelon, bound2) == box_vectors(lat, bound2)
 
     def test_examples(self):
-        assert short_vectors(HEXAGONAL.gram, 2) == [(2, (0, 1)), (2, (1, -1)), (2, (1, 0))]
-        assert short_vectors(DIAG14.gram, 4) == [(1, (1, 0)), (4, (0, 1)), (4, (2, 0))]
-        assert short_vectors(IDENTITY2.gram, 0) == short_vectors(IDENTITY2.gram, -1) == []
-        assert short_vectors(((7,),), 63) == [(7, (1,)), (28, (2,)), (63, (3,))]
+        assert short_vectors(HEXAGONAL.echelon, 2) == [(2, (0, 1)), (2, (1, -1)), (2, (1, 0))]
+        assert short_vectors(DIAG14.echelon, 4) == [(1, (1, 0)), (4, (0, 1)), (4, (2, 0))]
+        assert short_vectors(IDENTITY2.echelon, 0) == short_vectors(IDENTITY2.echelon, -1) == []
+        assert short_vectors(GramLattice(((7,),)).echelon, 63) == [(7, (1,)), (28, (2,)), (63, (3,))]
 
     def test_results_are_integers(self):
-        for q2, v in short_vectors(SKEWED4.gram, 30):
+        for q2, v in short_vectors(SKEWED4.echelon, 30):
             assert type(q2) is int and all(type(x) is int for x in v)
             assert SKEWED4.norm2(v) == q2
 
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
-            short_vectors(IDENTITY2.gram, 10**6, budget=1000)
+            short_vectors(IDENTITY2.echelon, 10**6, budget=1000)
 
 
 class TestGramLattice:
@@ -809,6 +808,14 @@ class TestTransference:
         for row in report.rows[:-1]:
             q = covol2[row.p - 1] / lat.det
             assert row.lower == 0.5 * (math.log(q.numerator) - math.log(q.denominator))
+
+
+def dual_heights(lat: GramLattice):
+    """The dual's minimal squared covolumes as Fractions, read off the primal core by duality
+    (lattice._dual_covol2), and their half-logs."""
+    budget = lattice.DEFAULT_BUDGET
+    pairs, logs = lattice._dual_covol2(lattice.successive_minima(lat, budget), budget)
+    return tuple(Fraction(a, b) for a, b in pairs), logs
 
 
 def fraction_dual_heights(lat: GramLattice):
